@@ -81,8 +81,11 @@ void write_cdfg(const graph& g, std::ostream& os)
     os << "cdfg " << g.name() << '\n';
     for (node_id v : g.nodes())
         os << "node " << g.label(v) << ' ' << op_kind_name(g.kind(v)) << '\n';
+    // Edges go out per consumer in preds() order: parse_cdfg appends
+    // each edge to its consumer's predecessor list, so operand order
+    // survives the round trip.
     for (node_id v : g.nodes())
-        for (node_id s : g.succs(v)) os << "edge " << g.label(v) << ' ' << g.label(s) << '\n';
+        for (node_id p : g.preds(v)) os << "edge " << g.label(p) << ' ' << g.label(v) << '\n';
 }
 
 std::string write_cdfg_string(const graph& g)

@@ -67,8 +67,9 @@ struct kernel_tuning {
 kernel_tuning& kernel_knobs();
 
 /// Wall-time accumulators for the kernel regions inside the merge loop,
-/// filled only while `collect` is true.  Single-threaded use only (the
-/// bench drives one partitioning at a time); reset() between runs.
+/// plus the incremental candidate store's maintenance counters, filled
+/// only while `collect` is true.  Single-threaded use only (the bench
+/// drives one partitioning at a time); reset() between runs.
 /// run_clique_partitioning samples `collect` ONCE per synthesis run --
 /// flipping it while a run is in flight affects the next run, and the
 /// disabled-timing path costs exactly one branch per region.
@@ -76,7 +77,11 @@ struct kernel_timers {
     bool collect = false;
     long long candidates_ns = 0; ///< enumeration / store maintenance + pick
     long long rollback_ns = 0;   ///< state capture + restore (both paths)
-    void reset() { candidates_ns = rollback_ns = 0; }
+    long long broken_slots = 0;  ///< store entries re-scored because a slot broke
+    long long store_compactions = 0; ///< flat-store compactions
+    /// Largest flat-store pool size / live entries after an accept.
+    double store_peak_pool_ratio = 0.0;
+    void reset() { *this = kernel_timers{collect}; }
 };
 
 /// The process-global timer block.

@@ -31,11 +31,11 @@ std::uint64_t candidate_store::combo_key(bool is_pair, int x, int second, int mo
 candidate_store::pick_key candidate_store::key_of(const entry& e)
 {
     pick_key k;
-    k.saving = e.score.cand.saving;
-    k.is_join = !e.is_pair;
-    k.a = e.score.cand.a.value();
-    k.b = e.is_pair ? e.score.cand.b.value() : -1;
-    k.tie = e.is_pair ? e.module.value() : e.instance;
+    k.saving = e.cand.saving;
+    k.is_join = !e.is_pair();
+    k.a = e.cand.a.value();
+    k.b = e.is_pair() ? e.cand.b.value() : -1;
+    k.tie = e.is_pair() ? e.cand.module.value() : e.cand.instance;
     return k;
 }
 
@@ -84,10 +84,102 @@ std::size_t candidate_store::flat_lookup(std::uint64_t key) const
 void candidate_store::kill(std::size_t pos)
 {
     alive_[pos] = 0;
+    --live_;
     if (pos >= core_size_) {
         order_.erase(key_of(pool_[pos]));
         index_.erase(pool_[pos].key);
     }
+}
+
+void candidate_store::append(entry e)
+{
+    const std::size_t pos = pool_.size();
+    check(pos < 0xFFFFFFFFull, "candidate_store: flat pool too large");
+    order_.emplace(key_of(e), e.key);
+    index_.emplace(e.key, pos);
+    pool_.push_back(std::move(e));
+    alive_.push_back(1);
+    ++live_;
+    index_refs(static_cast<std::uint32_t>(pos));
+}
+
+void candidate_store::index_refs(std::uint32_t pos)
+{
+    const entry& e = pool_[pos];
+    by_node_[e.x().index()].push_back(pos);
+    if (e.is_pair()) by_node_[e.y().index()].push_back(pos);
+    add_slot_ref(pos, e.cand.t_a);
+    if (e.is_pair()) add_slot_ref(pos, e.cand.t_b);
+}
+
+void candidate_store::add_slot_ref(std::uint32_t pos, int start)
+{
+    const std::size_t b = bucket_of(start, pool_[pos].cand.module);
+    if (b >= slots_.size()) slots_.resize(b + 1);
+    slots_[b].push_back(pos);
+}
+
+void candidate_store::freeze_core()
+{
+    // Two bulk sorts over flat arrays replace one tree/hash insert per
+    // entry -- the dominant cost of the classic rebuild at 10k ops.
+    core_size_ = pool_.size();
+    live_ = core_size_;
+    stale_refs_ = 0;
+    cursor_ = 0;
+    check(core_size_ <= 0xFFFFFFFFull, "candidate_store: flat core too large");
+    sorted_.resize(core_size_);
+    keys_.resize(core_size_);
+    for (std::size_t i = 0; i < core_size_; ++i) {
+        sorted_[i] = {pack_pick(key_of(pool_[i])), static_cast<std::uint32_t>(i)};
+        keys_[i] = {pool_[i].key, static_cast<std::uint32_t>(i)};
+    }
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(keys_.begin(), keys_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+
+    // Node lists and slot buckets, sized by a counting pass so the core
+    // refs carry no growth slack.
+    std::vector<std::size_t> node_refs(by_node_.size(), 0);
+    std::vector<std::size_t> slot_refs;
+    const auto count_slot = [&](int start, module_id m) {
+        const std::size_t b = bucket_of(start, m);
+        if (b >= slot_refs.size()) slot_refs.resize(b + 1, 0);
+        ++slot_refs[b];
+    };
+    for (const entry& e : pool_) {
+        ++node_refs[e.x().index()];
+        count_slot(e.cand.t_a, e.cand.module);
+        if (e.is_pair()) {
+            ++node_refs[e.y().index()];
+            count_slot(e.cand.t_b, e.cand.module);
+        }
+    }
+    for (std::size_t v = 0; v < by_node_.size(); ++v) {
+        by_node_[v].clear();
+        by_node_[v].reserve(node_refs[v]);
+    }
+    for (std::vector<std::uint32_t>& refs : slots_) refs.clear();
+    slots_.resize(std::max(slots_.size(), slot_refs.size()));
+    for (std::size_t b = 0; b < slot_refs.size(); ++b) slots_[b].reserve(slot_refs[b]);
+    for (std::size_t i = 0; i < core_size_; ++i) index_refs(static_cast<std::uint32_t>(i));
+}
+
+void candidate_store::compact()
+{
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < pool_.size(); ++i) {
+        if (alive_[i] == 0) continue;
+        if (w != i) pool_[w] = std::move(pool_[i]);
+        ++w;
+    }
+    pool_.resize(w);
+    alive_.assign(w, 1);
+    order_.clear();
+    index_.clear();
+    freeze_core();
+    ++stats_.compactions;
 }
 
 void candidate_store::build_module_screen(const compat_inputs& in)
@@ -138,17 +230,24 @@ void candidate_store::store_entry(entry e)
             const pick_key after = key_of(e);
             if (!(before < after) && !(after < before)) {
                 // Same rank: the core pick order (resp. the overlay map
-                // key) stays valid, so replace in place.
+                // key) stays valid, so replace in place.  A moved slot
+                // is filed under its new bucket; the old bucket's ref
+                // goes stale (skipped by apply_accept, dropped at
+                // compaction).
+                const int old_a = slot.cand.t_a;
+                const int old_b = slot.cand.t_b;
                 slot = std::move(e);
+                const auto refile = [&](int start) {
+                    add_slot_ref(static_cast<std::uint32_t>(pos), start);
+                    ++stale_refs_;
+                };
+                if (slot.cand.t_a != old_a) refile(slot.cand.t_a);
+                if (slot.is_pair() && slot.cand.t_b != old_b) refile(slot.cand.t_b);
                 return;
             }
             kill(pos);
         }
-        const std::size_t np = pool_.size();
-        order_.emplace(key_of(e), e.key);
-        index_.emplace(e.key, np);
-        pool_.push_back(std::move(e));
-        alive_.push_back(1);
+        append(std::move(e));
         return;
     }
 
@@ -187,11 +286,7 @@ candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
         if (!s.ok || s.cand.saving < 0.0) return out;
         out.keep = true;
         out.e.key = out.key;
-        out.e.is_pair = true;
-        out.e.x = c.x;
-        out.e.y = c.y;
-        out.e.module = c.module;
-        out.e.score = s;
+        out.e.cand = s.cand;
         return out;
     }
     const fu_instance& inst = (*in.instances)[static_cast<std::size_t>(c.instance)];
@@ -206,11 +301,7 @@ candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
     if (!s.ok || s.cand.saving < 0.0) return out;
     out.keep = true;
     out.e.key = out.key;
-    out.e.is_pair = false;
-    out.e.x = c.x;
-    out.e.instance = inst.index;
-    out.e.module = inst.module;
-    out.e.score = s;
+    out.e.cand = s.cand;
     return out;
 }
 
@@ -292,7 +383,11 @@ void candidate_store::rebuild(const compat_inputs& in)
     sorted_.clear();
     keys_.clear();
     alive_.clear();
+    by_node_.assign(static_cast<std::size_t>(in.g->node_count()), {});
+    slots_.clear();
+    modules_ = in.lib->size();
     core_size_ = 0;
+    live_ = 0;
     cursor_ = 0;
     flat_ = in.arena != nullptr;
     build_module_screen(in);
@@ -361,22 +456,7 @@ void candidate_store::rebuild(const compat_inputs& in)
         }
         score_batch(in, combos);
         rebuilding_ = false;
-
-        // Freeze the core: two bulk sorts over flat arrays replace one
-        // tree/hash insert per entry -- the dominant cost of the classic
-        // rebuild at 10k ops.
-        core_size_ = pool_.size();
-        check(core_size_ <= 0xFFFFFFFFull, "candidate_store: flat core too large");
-        sorted_.resize(core_size_);
-        keys_.resize(core_size_);
-        for (std::size_t i = 0; i < core_size_; ++i) {
-            sorted_[i] = {pack_pick(key_of(pool_[i])), static_cast<std::uint32_t>(i)};
-            keys_[i] = {pool_[i].key, static_cast<std::uint32_t>(i)};
-        }
-        std::sort(sorted_.begin(), sorted_.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        std::sort(keys_.begin(), keys_.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        freeze_core();
         built_ = true;
         return;
     }
@@ -418,8 +498,8 @@ candidate_store::best(const std::unordered_set<std::uint64_t>& blacklist) const
                 take_core = sorted_[ci].first < pack_pick(oit->first);
             const entry& e = take_core ? pool_[sorted_[ci].second]
                                        : pool_[index_.at(oit->second)];
-            if (blacklist.empty() || blacklist.count(e.score.cand.packed_key()) == 0)
-                return &e.score.cand;
+            if (blacklist.empty() || blacklist.count(e.cand.packed_key()) == 0)
+                return &e.cand;
             if (take_core)
                 ++ci;
             else
@@ -428,8 +508,8 @@ candidate_store::best(const std::unordered_set<std::uint64_t>& blacklist) const
     }
     for (const auto& [pick, key] : order_) {
         const entry& e = pool_[index_.at(key)];
-        if (!blacklist.empty() && blacklist.count(e.score.cand.packed_key()) > 0) continue;
-        return &e.score.cand;
+        if (!blacklist.empty() && blacklist.count(e.cand.packed_key()) > 0) continue;
+        return &e.cand;
     }
     return nullptr;
 }
@@ -491,51 +571,80 @@ void candidate_store::apply_accept(const compat_inputs& in, const merge_candidat
         affected[v.index()] = hit;
     }
 
-    // 3. One linear sweep of the dense pool: drop candidates of the
-    // now-committed ops; revalidate survivors whose cached slots the new
-    // reservations overlap.  The revalidation is one fits() probe per
-    // cached slot, not a re-score: the profile only grows, so slots
-    // before a cached minimum stay infeasible, the losing pair order can
-    // only get worse, and a slot that still fits leaves the whole cached
-    // result unchanged.  Only broken slots go to the re-score list.
+    // 3. Drop candidates of the now-committed ops; revalidate survivors
+    // whose cached slots the new reservations overlap.  The
+    // revalidation is one fits() probe per cached slot, not a re-score:
+    // the profile only grows, so slots before a cached minimum stay
+    // infeasible, the losing pair order can only get worse, and a slot
+    // that still fits leaves the whole cached result unchanged.  Only
+    // broken slots go to the re-score list.
     const std::pair<int, int> res_a{chosen.t_a, chosen.t_a + d};
     const std::pair<int, int> res_b =
         pair ? std::pair<int, int>{chosen.t_b, chosen.t_b + d} : std::pair<int, int>{0, 0};
-    const auto hits_interval = [&](int lo, int hi) {
-        if (lo < res_a.second && res_a.first < hi) return true;
-        return pair && lo < res_b.second && res_b.first < hi;
-    };
     const auto generation_covers = [&](const entry& e) {
-        if (e.is_pair) return affected[e.x.index()] || affected[e.y.index()] ? true : false;
-        return (affected[e.x.index()] ? true : false) || e.instance == changed_instance;
-    };
-    const auto slot_broke = [&](const entry& e) {
-        const fu_module& m = in.lib->module(e.score.cand.module);
-        const bool hit_a = hits_interval(e.score.cand.t_a, e.score.cand.t_a + m.latency);
-        const bool hit_b =
-            e.is_pair && hits_interval(e.score.cand.t_b, e.score.cand.t_b + m.latency);
-        return (hit_a && !in.committed_power->fits(e.score.cand.t_a, m.latency, m.power)) ||
-               (hit_b && !in.committed_power->fits(e.score.cand.t_b, m.latency, m.power));
+        if (e.is_pair()) return affected[e.x().index()] || affected[e.y().index()] ? true : false;
+        return (affected[e.x().index()] ? true : false) || e.cand.instance == changed_instance;
     };
     std::vector<entry> broken;
     if (flat_) {
-        // Tombstone sweep: positions are stable in flat mode, so dead
-        // entries are skipped rather than swap-popped.
-        for (std::size_t i = 0; i < pool_.size(); ++i) {
-            if (alive_[i] == 0) continue;
-            const entry& e = pool_[i];
-            if ((*in.committed)[e.x.index()] ||
-                (e.is_pair && (*in.committed)[e.y.index()])) {
-                kill(i);
-                continue;
+        // Indexed: the committed ops' node lists name their entries, and
+        // a (start cycle, module) bucket holds slots of one interval and
+        // one power, so a single fits() probe per overlapping bucket
+        // decides all of its entries (refs whose entry has since moved
+        // to another start are stale and skipped).
+        const auto drop_node = [&](node_id v) {
+            std::vector<std::uint32_t>& refs = by_node_[v.index()];
+            for (const std::uint32_t pos : refs)
+                if (alive_[pos] != 0) kill(pos);
+            std::vector<std::uint32_t>().swap(refs); // committed ops get no new entries
+        };
+        drop_node(chosen.a);
+        if (pair) drop_node(chosen.b);
+
+        std::vector<std::uint32_t> hits;
+        const auto probe = [&](std::pair<int, int> res) {
+            for (int mi = 0; mi < modules_; ++mi) {
+                const fu_module& m = in.lib->module(module_id(mi));
+                // [t, t + latency) overlaps [res.first, res.second).
+                for (int t = std::max(0, res.first - m.latency + 1); t < res.second; ++t) {
+                    const std::size_t b = bucket_of(t, module_id(mi));
+                    if (b >= slots_.size() || slots_[b].empty()) continue;
+                    if (in.committed_power->fits(t, m.latency, m.power)) continue;
+                    for (const std::uint32_t pos : slots_[b]) {
+                        const entry& e = pool_[pos];
+                        const bool current =
+                            e.cand.t_a == t || (e.is_pair() && e.cand.t_b == t);
+                        if (alive_[pos] != 0 && current) hits.push_back(pos);
+                    }
+                }
             }
-            if (!generation_covers(e) && slot_broke(e)) broken.push_back(e);
-        }
+        };
+        probe(res_a);
+        if (pair) probe(res_b);
+        // A pair can sit in two broken buckets, and the two reservations'
+        // ranges can share buckets.
+        std::sort(hits.begin(), hits.end());
+        hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+        for (const std::uint32_t pos : hits)
+            if (!generation_covers(pool_[pos])) broken.push_back(pool_[pos]);
     } else {
+        // Classic: one linear sweep of the dense pool.
+        const auto hits_interval = [&](int lo, int hi) {
+            if (lo < res_a.second && res_a.first < hi) return true;
+            return pair && lo < res_b.second && res_b.first < hi;
+        };
+        const auto slot_broke = [&](const entry& e) {
+            const fu_module& m = in.lib->module(e.cand.module);
+            const bool hit_a = hits_interval(e.cand.t_a, e.cand.t_a + m.latency);
+            const bool hit_b =
+                e.is_pair() && hits_interval(e.cand.t_b, e.cand.t_b + m.latency);
+            return (hit_a && !in.committed_power->fits(e.cand.t_a, m.latency, m.power)) ||
+                   (hit_b && !in.committed_power->fits(e.cand.t_b, m.latency, m.power));
+        };
         for (std::size_t i = 0; i < pool_.size();) {
             const entry& e = pool_[i];
-            if ((*in.committed)[e.x.index()] ||
-                (e.is_pair && (*in.committed)[e.y.index()])) {
+            if ((*in.committed)[e.x().index()] ||
+                (e.is_pair() && (*in.committed)[e.y().index()])) {
                 erase_at(i); // swap-pop: the swapped-in entry is re-examined
                 continue;
             }
@@ -543,6 +652,7 @@ void candidate_store::apply_accept(const compat_inputs& in, const merge_candidat
             ++i;
         }
     }
+    stats_.broken_slots += static_cast<long long>(broken.size());
 
     // 4. Generative re-score of everything touching an affected node or
     // the changed instance -- including combos with no stored entry (a
@@ -594,12 +704,22 @@ void candidate_store::apply_accept(const compat_inputs& in, const merge_candidat
 
     // 5. The broken-slot stragglers (disjoint from step 4 by construction).
     for (const entry& e : broken) {
-        if (e.is_pair)
-            queue_pair(e.x, e.y, e.module);
+        if (e.is_pair())
+            queue_pair(e.x(), e.y(), e.cand.module);
         else
-            queue_join(e.x, (*in.instances)[static_cast<std::size_t>(e.instance)]);
+            queue_join(e.x(), (*in.instances)[static_cast<std::size_t>(e.cand.instance)]);
     }
     score_batch(in, combos);
+
+    // 6. Amortised compaction: the pool stays within twice the live set,
+    // and the buckets within about twice the live entries' refs.
+    if (flat_) {
+        if (pool_.size() - live_ > live_ || stale_refs_ > 2 * live_) compact();
+        if (live_ > 0)
+            stats_.peak_pool_ratio =
+                std::max(stats_.peak_pool_ratio, static_cast<double>(pool_.size()) /
+                                                     static_cast<double>(live_));
+    }
 }
 
 } // namespace phls

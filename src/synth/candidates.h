@@ -19,17 +19,33 @@
 // a changed instance are re-scored; candidates whose cached slots a new
 // reservation overlaps are revalidated with one fits() probe and
 // re-scored only when the slot actually broke.  candidate_store keeps
-// every currently valid candidate in a best-first map ordered exactly
-// like best_candidate() (saving desc, joins before pairs, smaller ops,
-// then enumeration order) and serves the next pick in O(log n).
+// every currently valid candidate in a best-first order exactly like
+// best_candidate() (saving desc, joins before pairs, smaller ops, then
+// enumeration order) and serves the next pick in O(log n).
 //
-// The win therefore scales with merge locality.  It is largest in the
-// locked regimes (after the paper's backtrack-and-lock, or under
-// lock_from_start), where windows stop moving altogether and an
-// accepted merge touches only the merged ops' neighbourhood; with free
-// windows under heavy power contention a commit can ripple through most
-// windows and the store degrades gracefully towards one reference
-// enumeration per accept.
+// Per-accept cost of the flat store (the default): an accept costs what
+// it changed, never a pass over the whole pool.
+//
+//   * the generative re-score: every combo of an `affected` op (changed
+//     window, or adjacent to one) plus joins onto the changed instance,
+//     O((|affected| + 1) x free ops).  Even with free windows under a
+//     power cap `affected` stays small (about 17 ops per accept on a
+//     1000-op DAG);
+//   * the committed ops' entries, dropped through per-node position
+//     lists;
+//   * broken-slot revalidation through (start cycle, module) buckets:
+//     every entry in a bucket shares one slot interval and one power,
+//     so one fits() probe per bucket whose interval overlaps a new
+//     reservation decides the whole bucket, and only entries of broken
+//     buckets are touched;
+//   * amortised compaction: once dead slots outnumber live entries (or
+//     stale bucket refs, left by updates that moved a slot, outnumber
+//     twice the live entries), the live core and the overlay fold into
+//     a fresh sorted core, so the pool never holds more than twice the
+//     live entries after an accept.
+//
+// The classic store (soa_arena off) keeps the reference-era per-accept
+// sweep over every entry.
 //
 // The store is an internal engine of run_clique_partitioning (knob:
 // kernel_knobs().incremental_candidates); results are bit-identical to
@@ -74,14 +90,26 @@ public:
     void apply_accept(const compat_inputs& in, const merge_candidate& chosen,
                       const time_windows& before);
 
+    /// Maintenance counters over the store's lifetime (rebuilds included).
+    struct counters {
+        long long broken_slots = 0; ///< entries re-scored because a slot broke
+        long long compactions = 0;  ///< flat-store compactions
+        /// Largest pool size / live entries seen after an accept (flat
+        /// store; compaction keeps it at or below 2).
+        double peak_pool_ratio = 0.0;
+    };
+    const counters& stats() const { return stats_; }
+
 private:
     struct entry {
         std::uint64_t key = 0; ///< combo key (see combo_key)
-        bool is_pair = true;
-        node_id x, y;      ///< pair ops, x < y; joins use x only
-        int instance = -1; ///< join target
-        module_id module;  ///< pair module; joins: the instance module
-        candidate_score score;
+        merge_candidate cand;  ///< timed, saving >= 0
+
+        bool is_pair() const { return cand.type == merge_candidate::merge_type::pair; }
+        /// The combo's ops in id order (the candidate orders a pair by
+        /// dependency); joins use x only.
+        node_id x() const { return is_pair() && cand.b < cand.a ? cand.b : cand.a; }
+        node_id y() const { return cand.b < cand.a ? cand.a : cand.b; }
     };
 
     /// Total order equal to best_candidate() + enumeration-order ties:
@@ -184,6 +212,22 @@ private:
     /// Flat-mode erasure: tombstones a core entry, fully removes an
     /// overlay entry.
     void kill(std::size_t pos);
+    /// Flat-mode insertion of a new overlay entry.
+    void append(entry e);
+    /// Adds position `pos` to its ops' node lists and its slots' buckets.
+    void index_refs(std::uint32_t pos);
+    void add_slot_ref(std::uint32_t pos, int start);
+    std::size_t bucket_of(int start, module_id m) const
+    {
+        return static_cast<std::size_t>(start) * static_cast<std::size_t>(modules_) +
+               static_cast<std::size_t>(m.value());
+    }
+    /// Freezes the whole pool as the sorted core and re-derives every
+    /// flat index (pick order, key index, node lists, slot buckets).
+    void freeze_core();
+    /// Drops dead slots and stale refs, and re-freezes the live entries
+    /// as the core.
+    void compact();
 
     bool built_ = false;
     /// Flat mode (arena attached at rebuild): the rebuild appends every
@@ -194,19 +238,31 @@ private:
     /// never reorder the core: an update tombstones the old position via
     /// `alive_` and appends to an overlay indexed by the classic
     /// `order_`/`index_` maps, and best() merges the core and overlay
-    /// streams.  Classic mode keeps every entry in the maps directly.
+    /// streams.  A position keeps its ops and module while alive, so its
+    /// node-list refs go stale only when it dies; a same-rank update can
+    /// move its slots, filing new bucket refs and leaving the old ones
+    /// stale.  Compaction drops both kinds of waste.  Classic mode keeps
+    /// every entry in the maps directly.
     bool flat_ = false;
     /// True while a flat rebuild is generating entries (append-only).
     bool rebuilding_ = false;
     std::size_t core_size_ = 0;
+    std::size_t live_ = 0;       ///< flat mode: alive entries
+    std::size_t stale_refs_ = 0; ///< flat mode: bucket refs to a moved slot
     /// First possibly-alive core rank; dead prefixes are skipped once.
     mutable std::size_t cursor_ = 0;
     std::vector<std::pair<pick128, std::uint32_t>> sorted_; ///< core pick order
     std::vector<std::pair<std::uint64_t, std::uint32_t>> keys_; ///< core key index
     std::vector<char> alive_;
+    /// Flat mode: positions of every entry per op (x and y of a pair).
+    std::vector<std::vector<std::uint32_t>> by_node_;
+    /// Flat mode: positions of every cached slot per (start cycle,
+    /// module) -- see bucket_of().
+    std::vector<std::vector<std::uint32_t>> slots_;
+    int modules_ = 0;
     /// Dense entry pool (swap-pop erasure in classic mode, tombstones in
-    /// flat mode) + key index; contiguous so the per-accept sweep is a
-    /// linear scan, not a node-chasing walk.
+    /// flat mode) + key index; contiguous so the classic per-accept
+    /// sweep is a linear scan, not a node-chasing walk.
     std::vector<entry> pool_;
     std::unordered_map<std::uint64_t, std::size_t> index_;
     std::map<pick_key, std::uint64_t> order_; ///< best first
@@ -214,6 +270,7 @@ private:
     /// Per-instance sorted busy intervals, maintained on bind instead of
     /// rebuilt per candidate per iteration.
     std::vector<std::vector<std::pair<int, int>>> busy_;
+    counters stats_;
 };
 
 } // namespace phls

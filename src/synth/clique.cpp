@@ -410,6 +410,14 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             blacklist.insert(chosen.packed_key());
     }
 
+    if (timers.collect) {
+        const candidate_store::counters& sc = store.stats();
+        timers.broken_slots += sc.broken_slots;
+        timers.store_compactions += sc.compactions;
+        timers.store_peak_pool_ratio =
+            std::max(timers.store_peak_pool_ratio, sc.peak_pool_ratio);
+    }
+
     // 5. Finalisation: leftover operators become singleton instances.
     // First give each a chance to move to the cheapest power-feasible
     // module (validated by a full window recompute), then batch-commit

@@ -2,6 +2,10 @@
 // text front-ends.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cdfg/analysis.h"
 #include "cdfg/benchmarks.h"
 #include "cdfg/dot.h"
@@ -170,6 +174,38 @@ TEST(textio, roundtrip_preserves_structure)
         ASSERT_TRUE(v2.has_value());
         EXPECT_EQ(g2.kind(*v2), g.kind(v));
         EXPECT_EQ(g2.preds(*v2).size(), g.preds(v).size());
+    }
+}
+
+/// Every node's predecessor list, by label, in order.
+std::vector<std::vector<std::string>> operand_lists(const graph& g)
+{
+    std::vector<std::vector<std::string>> out;
+    for (node_id v : g.nodes()) {
+        std::vector<std::string> labels{g.label(v)};
+        for (node_id p : g.preds(v)) labels.push_back(g.label(p));
+        out.push_back(labels);
+    }
+    return out;
+}
+
+TEST(textio, roundtrip_preserves_operand_order)
+{
+    // Two-input operands must not swap through the text format: served
+    // jobs and task candidates synthesise the parsed copy.
+    std::vector<graph> graphs;
+    for (const std::string& name : benchmark_names()) graphs.push_back(benchmark_by_name(name));
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull}) {
+        random_dag_params params;
+        params.operations = 60;
+        params.inputs = 6;
+        params.mult_fraction = 0.3;
+        graphs.push_back(random_dag(params, seed));
+    }
+    for (const graph& g : graphs) {
+        const graph g2 = parse_cdfg_string(write_cdfg_string(g));
+        EXPECT_EQ(operand_lists(g2), operand_lists(g)) << g.name();
+        EXPECT_EQ(write_cdfg_string(g2), write_cdfg_string(g)) << g.name();
     }
 }
 

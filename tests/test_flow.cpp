@@ -198,9 +198,8 @@ TEST(flow_run, exact_strategy_marks_proven_optima)
     // The greedy result for the same problem can never beat the optimum.
     const flow_report greedy =
         flow::on(g).with_library(lib()).latency(cp + 4).power_cap(20.0).run();
-    if (greedy.st.ok()) {
-        EXPECT_GE(greedy.area, r.area - 1e-9);
-    }
+    ASSERT_TRUE(greedy.st.ok()) << greedy.st.to_string();
+    EXPECT_GE(greedy.area, r.area - 1e-9);
 }
 
 // ------------------------------------------- strategy == implementation

@@ -7,6 +7,7 @@
 // diagnostic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "cdfg/benchmarks.h"
 #include "cdfg/random_dag.h"
 #include "flow/flow.h"
+#include "sched/pasap.h"
 #include "support/kernels.h"
 #include "support/strings.h"
 #include "synth/synthesizer.h"
@@ -134,13 +136,12 @@ TEST(kernels, cross_check_validates_incremental_store_on_random_dags)
 
         const synthesis_result probe = synthesize(g, lib(), {cp + 6, unbounded_power});
         ASSERT_TRUE(probe.feasible) << probe.reason;
+        int checked_merges = 0; // decisions both paths agreed on
         for (const double scale : {1.0, 0.7, 0.45}) {
             const double cap = scale * probe.dp.peak_power(lib());
-            const synthesis_result r = synthesize(g, lib(), {cp + 6, cap});
-            if (r.feasible) {
-                EXPECT_GE(r.stats.merges, 0);
-            }
+            checked_merges += synthesize(g, lib(), {cp + 6, cap}).stats.merges;
         }
+        EXPECT_GT(checked_merges, 0) << "seed " << seed;
     }
 }
 
@@ -279,15 +280,108 @@ TEST(kernels, cross_check_validates_arena_scoring_on_random_dags)
             const synthesis_result probe =
                 synthesize(g, lib(), {cp + 5, unbounded_power});
             ASSERT_TRUE(probe.feasible) << probe.reason;
+            int checked_merges = 0; // decisions both paths agreed on
             for (const double scale : {1.0, 0.55}) {
                 const double cap = scale * probe.dp.peak_power(lib());
-                const synthesis_result r = synthesize(g, lib(), {cp + 5, cap});
-                if (r.feasible) {
-                    EXPECT_GE(r.stats.merges, 0);
-                }
+                checked_merges += synthesize(g, lib(), {cp + 5, cap}).stats.merges;
             }
+            EXPECT_GT(checked_merges, 0) << "seed " << seed << " threads " << threads;
         }
     }
+}
+
+/// Turns the kernel counters on for one scope and restores them after.
+struct timer_guard {
+    kernel_timers saved = kernel_timing();
+    timer_guard()
+    {
+        kernel_timing().collect = true;
+        kernel_timing().reset();
+    }
+    ~timer_guard() { kernel_timing() = saved; }
+};
+
+TEST(kernels, cross_check_covers_broken_slot_revalidation)
+{
+    // Free windows under a finite cap: later reservations land on slots
+    // the store cached earlier.  The flat store finds broken slots
+    // through its (start cycle, module) buckets, the classic store by
+    // sweeping every entry; both must re-score exactly the same entries,
+    // and cross_check must agree with the reference decision for
+    // decision.  On the first DAG a store that skipped the revalidation
+    // would pick a stale slot; a zero count would leave the path untested.
+    struct dag_case {
+        int operations;
+        std::uint64_t seed;
+        double mult_fraction;
+        double cap_scale;
+    };
+    const knob_guard guard;
+    for (const dag_case& dc : {dag_case{40, 8, 0.0, 0.6}, dag_case{60, 27, 0.3, 0.8}}) {
+        random_dag_params params;
+        params.operations = dc.operations;
+        params.inputs = dc.operations / 8 + 2;
+        params.mult_fraction = dc.mult_fraction;
+        const graph g = random_dag(params, dc.seed);
+        const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
+        const int cp = critical_path_length(
+            g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
+        kernel_knobs() = kernel_tuning{};
+        const synthesis_result probe = synthesize(g, lib(), {cp + 4, unbounded_power});
+        ASSERT_TRUE(probe.feasible) << probe.reason;
+        const synthesis_constraints c{cp + 4, dc.cap_scale * probe.dp.peak_power(lib())};
+        synthesis_options o;
+        o.lock_from_start = false;
+
+        const auto broken_slots = [&](bool flat, int threads) {
+            const timer_guard timers;
+            kernel_knobs() = kernel_tuning{};
+            kernel_knobs().soa_arena = flat;
+            kernel_knobs().cross_check = true;
+            kernel_knobs().intra_threads = threads;
+            const synthesis_result r = synthesize(g, lib(), c, o);
+            EXPECT_TRUE(r.feasible) << r.reason;
+            EXPECT_FALSE(r.stats.locked);
+            return kernel_timing().broken_slots;
+        };
+        const long long swept = broken_slots(false, 1);
+        EXPECT_GT(swept, 0) << "seed " << dc.seed;
+        for (const int threads : {1, 8})
+            EXPECT_EQ(broken_slots(true, threads), swept)
+                << "seed " << dc.seed << ", " << threads << " threads";
+    }
+}
+
+TEST(kernels, flat_store_pool_stays_within_twice_its_live_entries)
+{
+    // A full merge loop on the 1000-op ALU family at a finite cap: dead
+    // slots pile up with every accept, and compaction must fold them
+    // away before they outnumber the live entries.
+    random_dag_params params;
+    params.operations = 1000;
+    params.inputs = 83;
+    params.layers = 10;
+    params.mult_fraction = 0.0;
+    const graph g = random_dag(params, 1);
+    double hungriest = 0.0;
+    for (int m = 0; m < lib().size(); ++m)
+        hungriest = std::max(hungriest, lib().module(module_id(m)).power);
+    const double cap = 2.5 * hungriest;
+    const pasap_result tight = pasap(g, lib(), fastest_assignment(g, lib(), cap), cap, {});
+    ASSERT_TRUE(tight.feasible) << tight.reason;
+    synthesis_options o;
+    o.try_both_prospects = false;
+
+    const knob_guard guard;
+    kernel_knobs() = kernel_tuning{};
+    const timer_guard timers;
+    const synthesis_result r =
+        synthesize(g, lib(), {tight.sched.latency(lib()) + 4, cap}, o);
+    ASSERT_TRUE(r.feasible) << r.reason;
+    EXPECT_GT(r.stats.merges, 500);
+    EXPECT_GT(kernel_timing().store_compactions, 0);
+    EXPECT_GT(kernel_timing().store_peak_pool_ratio, 1.0);
+    EXPECT_LE(kernel_timing().store_peak_pool_ratio, 2.0);
 }
 
 TEST(kernels, eight_thread_batch_identical_across_knobs)
