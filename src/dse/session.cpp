@@ -43,16 +43,18 @@ double elapsed_ms(std::chrono::steady_clock::time_point since)
 enum class delivery_source { computed, memo_report, memo_metric };
 
 /// The surrogate may skip a point only while it is predicted infeasible
-/// by `margin` sigmas, or while its *optimistic* estimate (every
-/// objective shifted `margin` sigmas in the point's favour) is still
-/// dominated by the running exact front.  Anything less clear-cut lands
-/// in the exact-verify band and is evaluated.
+/// by `margin` sigmas by a model that has seen both outcomes, or while
+/// its *optimistic* estimate (every objective shifted `margin` sigmas
+/// in the point's favour) is still dominated by the running exact
+/// front.  Anything less clear-cut lands in the exact-verify band and
+/// is evaluated.
 bool prunable(const estimate& e, std::size_t index, const synthesis_constraints& c,
               const std::vector<front_point>& front, bool want_lifetime,
               double margin)
 {
     if (!e.ready) return false;
-    if (e.feasible.mean + margin * e.feasible.sigma < 0.5) return true;
+    if (e.feasibility_trained && e.feasible.mean + margin * e.feasible.sigma < 0.5)
+        return true;
     if (!e.metrics_ready) return false;
     front_point cand;
     cand.index = index;

@@ -250,6 +250,7 @@ estimate surrogate::predict(const synthesis_constraints& c) const
     const std::vector<double> x = features(c);
     estimate e;
     e.ready = ready();
+    e.feasibility_trained = ok_rows_ > 0 && ok_rows_ < rows_;
     e.feasible = feasible_.predict(x);
     e.metrics_ready = ok_rows_ >= opts_.min_rows &&
                       (!with_lifetime_ || lifetime_rows_ >= opts_.min_rows);

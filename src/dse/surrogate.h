@@ -106,6 +106,11 @@ struct surrogate_options {
 struct estimate {
     bool ready = false;         ///< the feasibility model has enough rows
     bool metrics_ready = false; ///< the metric models have enough ok rows
+    /// The feasibility model has seen both feasible and infeasible rows.
+    /// A one-class fit is confidently wrong off its class (a seed round
+    /// of only infeasible corners predicts "infeasible" everywhere), so
+    /// no feasibility verdict may rest on it.
+    bool feasibility_trained = false;
     prediction feasible;        ///< P(point synthesises), roughly in [0, 1]
     prediction peak;
     prediction area;

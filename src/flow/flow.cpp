@@ -27,9 +27,11 @@ double elapsed_ms(std::chrono::steady_clock::time_point since)
 
 std::string flow_report::to_string() const
 {
-    // Canonical rendering of every *result* field; wall_ms is timing
-    // noise and deliberately excluded so identical outcomes serialise
-    // identically regardless of machine load, thread count or caching.
+    // Canonical rendering of every *result* field; wall_ms and the
+    // kernel timers/store counters in `stats` are timing noise or
+    // path-dependent and deliberately excluded, so identical outcomes
+    // serialise identically regardless of machine load, thread count,
+    // caching or kernel path.
     std::string out;
     out += "status: " + st.to_string() + '\n';
     out += "strategy: " + strategy + '\n';
@@ -188,6 +190,14 @@ std::string flow::fingerprint(const synthesis_constraints& c) const
     key_double(key, lifetime_.max_seconds);
     key_int(key, c.latency);
     key_double(key, c.max_power);
+    // The kernel choice never changes a result, but an oracle or
+    // cross-checked run must not be served a fast run's memoised report:
+    // it would then run and check nothing.  Encoded only when set, so
+    // default fingerprints -- and every saved cache file -- keep their
+    // bytes.  intra_threads stays out: it changes neither a result nor
+    // the path that computes it.
+    if (options_.reference_kernels) key_str(key, "reference_kernels");
+    if (options_.cross_check) key_str(key, "cross_check");
     return key;
 }
 

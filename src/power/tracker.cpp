@@ -3,51 +3,20 @@
 #include <algorithm>
 
 #include "support/errors.h"
-#include "support/kernels.h"
 
 namespace phls {
 
 namespace {
 
-/// Rightmost leaf in [lo, hi) of the subtree `node` (covering
-/// [node_lo, node_hi)) whose value violates `value + power > limit`,
-/// or -1.  The subtree test is exact: the node holds the max of its
-/// leaves, that max is itself a leaf value, and IEEE rounding is
-/// monotone, so fl(max + power) > limit iff some leaf violates.
-int rightmost_violation(const std::vector<double>& tree, int node, int node_lo,
-                        int node_hi, int lo, int hi, double power, double limit)
-{
-    if (node_hi <= lo || hi <= node_lo) return -1;
-    if (!(tree[static_cast<std::size_t>(node)] + power > limit)) return -1;
-    if (node_lo + 1 == node_hi) return node_lo;
-    const int mid = node_lo + (node_hi - node_lo) / 2;
-    const int right =
-        rightmost_violation(tree, 2 * node + 1, mid, node_hi, lo, hi, power, limit);
-    if (right >= 0) return right;
-    return rightmost_violation(tree, 2 * node, node_lo, mid, lo, hi, power, limit);
-}
-
-/// Leftmost leaf >= lo whose value satisfies `value + power <= limit`,
-/// or -1; exact by the same monotonicity argument over the min tree.
-int leftmost_clean(const std::vector<double>& tree, int node, int node_lo, int node_hi,
-                   int lo, double power, double limit)
-{
-    if (node_hi <= lo) return -1;
-    if (tree[static_cast<std::size_t>(node)] + power > limit) return -1;
-    if (node_lo + 1 == node_hi) return node_lo;
-    const int mid = node_lo + (node_hi - node_lo) / 2;
-    const int left = leftmost_clean(tree, 2 * node, node_lo, mid, lo, power, limit);
-    if (left >= 0) return left;
-    return leftmost_clean(tree, 2 * node + 1, mid, node_hi, lo, power, limit);
-}
-
-/// Iterative rightmost_violation over the canonical segment-tree
-/// decomposition of [lo, hi): collect the O(log H) covering nodes
-/// bottom-up, scan them right-to-left, and descend right-child-first
-/// into the first one whose max violates.  Same predicate expression,
-/// same exactness argument, no recursion.
-int rightmost_violation_iter(const std::vector<double>& tree, int leaves, int lo,
-                             int hi, double power, double limit)
+/// Rightmost leaf in [lo, hi) whose value violates `value + power >
+/// limit`, or -1.  Collects the O(log H) covering nodes of [lo, hi)
+/// bottom-up, scans them right-to-left, and descends right-child-first
+/// into the first one whose max violates.  The subtree test is exact: a
+/// node holds the max of its leaves, that max is itself a leaf value,
+/// and IEEE rounding is monotone, so fl(max + power) > limit iff some
+/// leaf violates.
+int rightmost_violation(const std::vector<double>& tree, int leaves, int lo, int hi,
+                        double power, double limit)
 {
     int lnodes[64];
     int rnodes[64];
@@ -76,10 +45,12 @@ int rightmost_violation_iter(const std::vector<double>& tree, int leaves, int lo
     return hit - leaves;
 }
 
-/// Iterative leftmost_clean: climb from leaf `lo` over the subtrees to
-/// its right until one holds a clean leaf, then descend left-child-first.
-int leftmost_clean_iter(const std::vector<double>& tree, int leaves, int lo,
-                        double power, double limit)
+/// Leftmost leaf >= lo whose value satisfies `value + power <= limit`,
+/// or -1; exact by the same monotonicity argument over the min tree.
+/// Climbs from leaf `lo` over the subtrees to its right until one holds
+/// a clean leaf, then descends left-child-first.
+int leftmost_clean(const std::vector<double>& tree, int leaves, int lo, double power,
+                   double limit)
 {
     int p = leaves + lo;
     while (true) {
@@ -101,21 +72,15 @@ int leftmost_clean_iter(const std::vector<double>& tree, int leaves, int lo,
 bool power_tracker::fits(int start, int duration, double power) const
 {
     if (power > cap_ + tolerance) return false;
-    if (kernel_knobs().dense_power) {
-        // Scan the contiguous per-cycle slab directly instead of paying
-        // profile_.at()'s bounds check + horizon branch per cycle.
-        // Cycles past the horizon hold 0 and cannot violate (power alone
-        // fits, checked above), so only the in-horizon prefix is probed.
-        check(start >= 0 || duration <= 0, "power_profile::at: negative cycle");
-        const double limit = cap_ + tolerance;
-        const std::vector<double>& v = profile_.values();
-        const int end = std::min(start + duration, profile_.cycle_count());
-        for (int c = start; c < end; ++c)
-            if (v[static_cast<std::size_t>(c)] + power > limit) return false;
-        return true;
-    }
-    for (int c = start; c < start + duration; ++c)
-        if (profile_.at(c) + power > cap_ + tolerance) return false;
+    // Cycles past the horizon hold 0 and cannot violate (power alone
+    // fits, checked above), so only the in-horizon prefix of the
+    // contiguous per-cycle slab is scanned.
+    check(start >= 0 || duration <= 0, "power_profile::at: negative cycle");
+    const double limit = cap_ + tolerance;
+    const std::vector<double>& v = profile_.values();
+    const int end = std::min(start + duration, profile_.cycle_count());
+    for (int c = start; c < end; ++c)
+        if (v[static_cast<std::size_t>(c)] + power > limit) return false;
     return true;
 }
 
@@ -143,20 +108,14 @@ int power_tracker::next_fit(int start, int duration, double power) const
 int power_tracker::last_violation(int lo, int hi, double power) const
 {
     if (leaves_ == 0 || hi <= lo) return -1;
-    if (kernel_knobs().dense_power)
-        return rightmost_violation_iter(tree_max_, leaves_, lo, std::min(hi, leaves_),
-                                        power, cap_ + tolerance);
-    return rightmost_violation(tree_max_, 1, 0, leaves_, lo, std::min(hi, leaves_), power,
+    return rightmost_violation(tree_max_, leaves_, lo, std::min(hi, leaves_), power,
                                cap_ + tolerance);
 }
 
 int power_tracker::first_clean(int from, double power) const
 {
     if (from >= leaves_) return from; // past the tree: free cycles
-    const int c =
-        kernel_knobs().dense_power
-            ? leftmost_clean_iter(tree_min_, leaves_, from, power, cap_ + tolerance)
-            : leftmost_clean(tree_min_, 1, 0, leaves_, from, power, cap_ + tolerance);
+    const int c = leftmost_clean(tree_min_, leaves_, from, power, cap_ + tolerance);
     return c >= 0 ? c : leaves_;
 }
 

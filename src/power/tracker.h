@@ -100,7 +100,7 @@ private:
     /// when `end` passes the current leaf capacity).  No-op while the
     /// trees do not exist yet -- they are built lazily by the first
     /// next_fit() call, so trackers that only ever use the linear fits()
-    /// path (the skip_probe ablation, exact's branch-and-bound churn)
+    /// path (the reference slot probe, exact's branch-and-bound churn)
     /// pay nothing for them.
     void sync_tree(int start, int end) const;
 

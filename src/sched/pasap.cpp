@@ -5,7 +5,6 @@
 
 #include "power/tracker.h"
 #include "support/errors.h"
-#include "support/kernels.h"
 #include "support/strings.h"
 
 namespace phls {
@@ -102,36 +101,19 @@ pasap_result run_core(const core_inputs& in)
     // Places one operator: earliest data-ready time + smallest offset at
     // which the whole execution interval has power available (paper
     // step 3).  Returns false and sets `reason` on heuristic failure.
-    const bool skip_probe = kernel_knobs().skip_probe;
     const auto place = [&](node_id v) -> bool {
         int ready = 0;
         for (node_id p : in.g.preds(v))
             ready = std::max(ready, start[p.index()] + delay[p.index()]);
-        int t;
-        if (skip_probe) {
-            // Skip-ahead: jump directly past the last violating cycle of
-            // each failed interval instead of advancing one offset at a
-            // time.  Bit-identical to the linear probe below (every op's
-            // power fits the cap, so a feasible slot always exists; the
-            // horizon check reports the same overrun).
-            t = tracker.next_fit(ready, delay[v.index()], power[v.index()]);
-            if (t > horizon) {
-                result.reason = "internal: no power-feasible slot below horizon for '" +
-                                in.g.label(v) + "'";
-                return false;
-            }
-        } else {
-            int offset = 0;
-            while (!tracker.fits(ready + offset, delay[v.index()], power[v.index()])) {
-                ++offset;
-                if (ready + offset > horizon) {
-                    result.reason =
-                        "internal: no power-feasible slot below horizon for '" +
-                        in.g.label(v) + "'";
-                    return false;
-                }
-            }
-            t = ready + offset;
+        // next_fit jumps directly past the last violating cycle of each
+        // failed interval instead of advancing one offset at a time; it
+        // returns the same start as that linear probe.  Every op's power
+        // fits the cap, so a feasible slot always exists.
+        const int t = tracker.next_fit(ready, delay[v.index()], power[v.index()]);
+        if (t > horizon) {
+            result.reason = "internal: no power-feasible slot below horizon for '" +
+                            in.g.label(v) + "'";
+            return false;
         }
         tracker.reserve(t, delay[v.index()], power[v.index()]);
         start[v.index()] = t;

@@ -89,7 +89,9 @@ bool run_job(channel& ch, const job_request& job, session_pool& pool,
             throw error("unknown synthesizer strategy '" + job.synthesizer + "'");
         if (strategy_registry::instance().scheduler(job.scheduler) == nullptr)
             throw error("unknown scheduler strategy '" + job.scheduler + "'");
-        slot = pool.acquire(job, limits.memo_limit);
+        job_request local = job;
+        local.options.intra_threads = limits.intra_threads;
+        slot = pool.acquire(local, limits.memo_limit);
     } catch (const std::exception& e) {
         if (stats) stats->rejects.fetch_add(1);
         ch.send(frame_type::reject, encode_reject(e.what()));

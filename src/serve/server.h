@@ -51,6 +51,10 @@ struct serve_limits {
     /// policy decision); shard workers turn it on for their per-shard
     /// cache files.
     bool allow_cache_save = false;
+    /// synthesis_options::intra_threads for every flow the session pool
+    /// builds.  A per-process choice, never carried on the wire; results
+    /// are byte-identical at any value.
+    int intra_threads = 1;
 };
 
 /// Warm exploration sessions shared across jobs and connections.  A

@@ -1,5 +1,6 @@
 // Minimal deterministic fork/join helper for the intra-point parallel
-// kernels (kernel_tuning::intra_threads).
+// kernels (synthesis_options::intra_threads) and the per-task candidate
+// sweeps.
 //
 // The design constraint is determinism, not peak throughput: callers
 // score independent work items into pre-sized result slots and then

@@ -1,5 +1,4 @@
-// Struct-of-arrays scoring arena for the merge loop's hot path
-// (kernel_tuning::soa_arena).
+// Struct-of-arrays scoring arena for the merge loop's fast path.
 //
 // Candidate scoring (synth/compat.h) reads the same per-node facts over
 // and over: the dependency bounds clamp_by_neighbors() folds from a
@@ -27,8 +26,9 @@
 //
 // Everything the arena serves is a value the reference path computes
 // from identical inputs with identical arithmetic, so scoring through
-// the arena is byte-identical -- tests assert it across the knob matrix
-// and via kernel_tuning::cross_check.
+// the arena is byte-identical -- tests assert it against the reference
+// oracle (synthesis_options::reference_kernels) and decision by decision
+// via synthesis_options::cross_check.
 #pragma once
 
 #include <vector>

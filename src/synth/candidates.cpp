@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "support/errors.h"
-#include "support/kernels.h"
 #include "support/parallel.h"
 #include "synth/arena.h"
 
@@ -67,7 +66,7 @@ candidate_store::pick128 candidate_store::pack_pick(const pick_key& k)
     return p;
 }
 
-std::size_t candidate_store::flat_lookup(std::uint64_t key) const
+std::size_t candidate_store::lookup(std::uint64_t key) const
 {
     const auto it = index_.find(key);
     if (it != index_.end()) return it->second;
@@ -122,7 +121,7 @@ void candidate_store::add_slot_ref(std::uint32_t pos, int start)
 void candidate_store::freeze_core()
 {
     // Two bulk sorts over flat arrays replace one tree/hash insert per
-    // entry -- the dominant cost of the classic rebuild at 10k ops.
+    // entry, which dominated a map-backed rebuild at 10k ops.
     core_size_ = pool_.size();
     live_ = core_size_;
     stale_refs_ = 0;
@@ -209,62 +208,32 @@ const std::vector<module_id>& candidate_store::pair_modules(op_kind a, op_kind b
                                             op_kind_index(b))];
 }
 
-void candidate_store::erase_at(std::size_t pos)
-{
-    order_.erase(key_of(pool_[pos]));
-    index_.erase(pool_[pos].key);
-    if (pos + 1 != pool_.size()) {
-        pool_[pos] = std::move(pool_.back());
-        index_[pool_[pos].key] = pos;
-    }
-    pool_.pop_back();
-}
-
 void candidate_store::store_entry(entry e)
 {
-    if (flat_) {
-        const std::size_t pos = flat_lookup(e.key);
-        if (pos != npos) {
-            entry& slot = pool_[pos];
-            const pick_key before = key_of(slot);
-            const pick_key after = key_of(e);
-            if (!(before < after) && !(after < before)) {
-                // Same rank: the core pick order (resp. the overlay map
-                // key) stays valid, so replace in place.  A moved slot
-                // is filed under its new bucket; the old bucket's ref
-                // goes stale (skipped by apply_accept, dropped at
-                // compaction).
-                const int old_a = slot.cand.t_a;
-                const int old_b = slot.cand.t_b;
-                slot = std::move(e);
-                const auto refile = [&](int start) {
-                    add_slot_ref(static_cast<std::uint32_t>(pos), start);
-                    ++stale_refs_;
-                };
-                if (slot.cand.t_a != old_a) refile(slot.cand.t_a);
-                if (slot.is_pair() && slot.cand.t_b != old_b) refile(slot.cand.t_b);
-                return;
-            }
-            kill(pos);
+    const std::size_t pos = lookup(e.key);
+    if (pos != npos) {
+        entry& slot = pool_[pos];
+        const pick_key before = key_of(slot);
+        const pick_key after = key_of(e);
+        if (!(before < after) && !(after < before)) {
+            // Same rank: the core pick order (resp. the overlay map key)
+            // stays valid, so replace in place.  A moved slot is filed
+            // under its new bucket; the old bucket's ref goes stale
+            // (skipped by apply_accept, dropped at compaction).
+            const int old_a = slot.cand.t_a;
+            const int old_b = slot.cand.t_b;
+            slot = std::move(e);
+            const auto refile = [&](int start) {
+                add_slot_ref(static_cast<std::uint32_t>(pos), start);
+                ++stale_refs_;
+            };
+            if (slot.cand.t_a != old_a) refile(slot.cand.t_a);
+            if (slot.is_pair() && slot.cand.t_b != old_b) refile(slot.cand.t_b);
+            return;
         }
-        append(std::move(e));
-        return;
+        kill(pos);
     }
-
-    const auto [it, inserted] = index_.try_emplace(e.key, pool_.size());
-    if (inserted) {
-        order_.emplace(key_of(e), e.key);
-        pool_.push_back(std::move(e));
-        return;
-    }
-    entry& slot = pool_[it->second];
-    const pick_key before = key_of(slot);
-    const pick_key after = key_of(e);
-    if (before < after || after < before) {
-        order_.erase(before);
-        order_.emplace(after, e.key);
-    }
-    slot = std::move(e);
+    append(std::move(e));
 }
 
 candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
@@ -273,15 +242,13 @@ candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
     scored out;
     if (c.is_pair) {
         out.key = combo_key(true, c.x.value(), c.y.value(), c.module.value());
-        if (in.arena != nullptr) {
-            // A pair's saving does not depend on its times, and both
-            // reference paths erase saving < 0 after timing it -- the
-            // identical expression decides before the slot probes run.
-            const fu_module& m = in.lib->module(c.module);
-            const double saving = standalone_area(in, c.x) + standalone_area(in, c.y) -
-                                  m.area - mux_penalty(m, *in.costs);
-            if (saving < 0.0) return out;
-        }
+        // A pair's saving does not depend on its times, and the reference
+        // erases saving < 0 after timing it -- the identical expression
+        // decides before the slot probes run.
+        const fu_module& m = in.lib->module(c.module);
+        const double saving = standalone_area(in, c.x) + standalone_area(in, c.y) - m.area -
+                              mux_penalty(m, *in.costs);
+        if (saving < 0.0) return out;
         const candidate_score s = score_pair(in, c.x, c.y, c.module);
         if (!s.ok || s.cand.saving < 0.0) return out;
         out.keep = true;
@@ -291,11 +258,8 @@ candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
     }
     const fu_instance& inst = (*in.instances)[static_cast<std::size_t>(c.instance)];
     out.key = combo_key(false, c.x.value(), inst.index, inst.module.value());
-    if (in.arena != nullptr) {
-        const fu_module& m = in.lib->module(inst.module);
-        const double saving = standalone_area(in, c.x) - mux_penalty(m, *in.costs);
-        if (saving < 0.0) return out;
-    }
+    const fu_module& m = in.lib->module(inst.module);
+    if (standalone_area(in, c.x) - mux_penalty(m, *in.costs) < 0.0) return out;
     const candidate_score s =
         score_join(in, c.x, inst, busy_[static_cast<std::size_t>(inst.index)]);
     if (!s.ok || s.cand.saving < 0.0) return out;
@@ -307,9 +271,9 @@ candidate_store::scored candidate_store::score_combo(const compat_inputs& in,
 
 void candidate_store::apply_scored(scored&& s)
 {
-    if (flat_ && rebuilding_) {
+    if (rebuilding_) {
         // The bucketed generation emits every combo key exactly once, so
-        // the rebuild appends without lookups; the flat indices are
+        // the rebuild appends without lookups; the indices are
         // bulk-sorted once afterwards.
         if (s.keep) {
             pool_.push_back(std::move(s.e));
@@ -317,25 +281,17 @@ void candidate_store::apply_scored(scored&& s)
         }
         return;
     }
-    if (!s.keep) {
-        if (flat_) {
-            const std::size_t pos = flat_lookup(s.key);
-            if (pos != npos) kill(pos);
-            return;
-        }
-        const auto it = index_.find(s.key);
-        if (it != index_.end()) erase_at(it->second);
+    if (s.keep) {
+        store_entry(std::move(s.e));
         return;
     }
-    store_entry(std::move(s.e));
+    const std::size_t pos = lookup(s.key);
+    if (pos != npos) kill(pos);
 }
 
 void candidate_store::score_batch(const compat_inputs& in, std::vector<combo>& combos)
 {
-    const kernel_tuning& knobs = kernel_knobs();
-    const int threads =
-        in.arena != nullptr && knobs.intra_threads > 1 ? knobs.intra_threads : 1;
-    if (threads <= 1 || combos.size() < min_parallel_batch) {
+    if (threads_ <= 1 || combos.size() < min_parallel_batch) {
         for (const combo& c : combos) apply_scored(score_combo(in, c));
     } else {
         // Scoring is read-only over the scheduling state and the busy
@@ -343,40 +299,19 @@ void candidate_store::score_batch(const compat_inputs& in, std::vector<combo>& c
         // tracker's headroom tree, forced here before the fan-out.
         in.committed_power->prepare_probes();
         std::vector<scored> results(combos.size());
-        parallel_for(combos.size(), threads,
+        parallel_for(combos.size(), threads_,
                      [&](std::size_t i) { results[i] = score_combo(in, combos[i]); });
         for (scored& s : results) apply_scored(std::move(s));
     }
     combos.clear();
 }
 
-void candidate_store::score_pair_combo(const compat_inputs& in, node_id x, node_id y,
-                                       module_id m)
-{
-    combo c;
-    c.is_pair = true;
-    c.x = x;
-    c.y = y;
-    c.module = m;
-    apply_scored(score_combo(in, c));
-}
-
-void candidate_store::score_join_combo(const compat_inputs& in, node_id x,
-                                       const fu_instance& inst)
-{
-    combo c;
-    c.is_pair = false;
-    c.x = x;
-    c.instance = inst.index;
-    c.module = inst.module;
-    apply_scored(score_combo(in, c));
-}
-
 void candidate_store::rebuild(const compat_inputs& in)
 {
     check(in.g && in.lib && in.costs && in.reach && in.windows && in.fixed &&
-              in.committed && in.instances && in.committed_power && in.assignment,
-          "compat_inputs is incomplete");
+              in.committed && in.instances && in.committed_power && in.assignment &&
+              in.arena,
+          "compat_inputs is incomplete (the candidate store needs an arena)");
     pool_.clear();
     index_.clear();
     order_.clear();
@@ -389,129 +324,100 @@ void candidate_store::rebuild(const compat_inputs& in)
     core_size_ = 0;
     live_ = 0;
     cursor_ = 0;
-    flat_ = in.arena != nullptr;
     build_module_screen(in);
 
     busy_.clear();
     busy_.reserve(in.instances->size());
     for (const fu_instance& inst : *in.instances) busy_.push_back(busy_intervals(in, inst));
 
-    if (in.arena != nullptr) {
-        // Bucketed generation: one block per unordered kind pair, with
-        // blocks whose module screen is empty skipped wholesale.  The
-        // store is keyed, so landing the same combo set in a different
-        // order from the reference free_ops^2 sweep yields the same
-        // content; batches flush in chunks to bound the buffer and feed
-        // the intra-point fan-out.
-        rebuilding_ = true;
-        std::vector<combo> combos;
-        combos.reserve(combo_chunk);
-        const auto queue = [&](combo c) {
-            combos.push_back(c);
-            if (combos.size() >= combo_chunk) score_batch(in, combos);
-        };
-        for (int ka = 0; ka < op_kind_count; ++ka) {
-            const std::vector<node_id>& bucket_a = in.arena->free_of_kind(ka);
-            if (bucket_a.empty()) continue;
-            for (int kb = ka; kb < op_kind_count; ++kb) {
-                const std::vector<module_id>& mods =
-                    screen_[static_cast<std::size_t>(ka * op_kind_count + kb)];
-                if (mods.empty()) continue;
-                const std::vector<node_id>& bucket_b = in.arena->free_of_kind(kb);
-                combo c;
-                c.is_pair = true;
-                if (ka == kb) {
-                    for (std::size_t i = 0; i < bucket_a.size(); ++i)
-                        for (std::size_t j = i + 1; j < bucket_a.size(); ++j) {
-                            c.x = bucket_a[i];
-                            c.y = bucket_a[j];
-                            for (const module_id m : mods) {
-                                c.module = m;
-                                queue(c);
-                            }
+    // Bucketed generation: one block per unordered kind pair, with
+    // blocks whose module screen is empty skipped wholesale.  The
+    // store is keyed, so landing the same combo set in a different
+    // order from the reference free_ops^2 sweep yields the same
+    // content; batches flush in chunks to bound the buffer and feed
+    // the intra-point fan-out.
+    rebuilding_ = true;
+    std::vector<combo> combos;
+    combos.reserve(combo_chunk);
+    const auto queue = [&](combo c) {
+        combos.push_back(c);
+        if (combos.size() >= combo_chunk) score_batch(in, combos);
+    };
+    for (int ka = 0; ka < op_kind_count; ++ka) {
+        const std::vector<node_id>& bucket_a = in.arena->free_of_kind(ka);
+        if (bucket_a.empty()) continue;
+        for (int kb = ka; kb < op_kind_count; ++kb) {
+            const std::vector<module_id>& mods =
+                screen_[static_cast<std::size_t>(ka * op_kind_count + kb)];
+            if (mods.empty()) continue;
+            const std::vector<node_id>& bucket_b = in.arena->free_of_kind(kb);
+            combo c;
+            c.is_pair = true;
+            if (ka == kb) {
+                for (std::size_t i = 0; i < bucket_a.size(); ++i)
+                    for (std::size_t j = i + 1; j < bucket_a.size(); ++j) {
+                        c.x = bucket_a[i];
+                        c.y = bucket_a[j];
+                        for (const module_id m : mods) {
+                            c.module = m;
+                            queue(c);
                         }
-                } else {
-                    for (const node_id u : bucket_a)
-                        for (const node_id w : bucket_b) {
-                            c.x = u < w ? u : w;
-                            c.y = u < w ? w : u;
-                            for (const module_id m : mods) {
-                                c.module = m;
-                                queue(c);
-                            }
+                    }
+            } else {
+                for (const node_id u : bucket_a)
+                    for (const node_id w : bucket_b) {
+                        c.x = u < w ? u : w;
+                        c.y = u < w ? w : u;
+                        for (const module_id m : mods) {
+                            c.module = m;
+                            queue(c);
                         }
-                }
+                    }
             }
         }
-        combo c;
-        c.is_pair = false;
-        for (node_id v : in.g->node_ids()) {
-            if ((*in.committed)[v.index()]) continue;
-            c.x = v;
-            for (const fu_instance& inst : *in.instances) {
-                c.instance = inst.index;
-                c.module = inst.module;
-                queue(c);
-            }
+    }
+    combo c;
+    c.is_pair = false;
+    for (node_id v : in.g->node_ids()) {
+        if ((*in.committed)[v.index()]) continue;
+        c.x = v;
+        for (const fu_instance& inst : *in.instances) {
+            c.instance = inst.index;
+            c.module = inst.module;
+            queue(c);
         }
-        score_batch(in, combos);
-        rebuilding_ = false;
-        freeze_core();
-        built_ = true;
-        return;
     }
-
-    std::vector<node_id> free_ops;
-    for (node_id v : in.g->node_ids())
-        if (!(*in.committed)[v.index()]) free_ops.push_back(v);
-
-    for (std::size_t i = 0; i < free_ops.size(); ++i) {
-        const op_kind ki = in.g->kind(free_ops[i]);
-        for (std::size_t j = i + 1; j < free_ops.size(); ++j)
-            for (const module_id m : pair_modules(ki, in.g->kind(free_ops[j])))
-                score_pair_combo(in, free_ops[i], free_ops[j], m);
-        for (const fu_instance& inst : *in.instances)
-            score_join_combo(in, free_ops[i], inst);
-    }
+    score_batch(in, combos);
+    rebuilding_ = false;
+    freeze_core();
     built_ = true;
 }
 
 const merge_candidate*
 candidate_store::best(const std::unordered_set<std::uint64_t>& blacklist) const
 {
-    if (flat_) {
-        // Merge the frozen core (best-first, dead entries skipped) with
-        // the overlay map.  Ranks are unique across both -- an update
-        // tombstones the core copy before the overlay copy exists -- so
-        // the strict comparison below decides every head-to-head.
-        while (cursor_ < sorted_.size() && alive_[sorted_[cursor_].second] == 0)
-            ++cursor_;
-        std::size_t ci = cursor_;
-        auto oit = order_.begin();
-        while (true) {
-            while (ci < sorted_.size() && alive_[sorted_[ci].second] == 0) ++ci;
-            const bool have_core = ci < sorted_.size();
-            const bool have_overlay = oit != order_.end();
-            if (!have_core && !have_overlay) return nullptr;
-            bool take_core = have_core;
-            if (have_core && have_overlay)
-                take_core = sorted_[ci].first < pack_pick(oit->first);
-            const entry& e = take_core ? pool_[sorted_[ci].second]
-                                       : pool_[index_.at(oit->second)];
-            if (blacklist.empty() || blacklist.count(e.cand.packed_key()) == 0)
-                return &e.cand;
-            if (take_core)
-                ++ci;
-            else
-                ++oit;
-        }
+    // Merge the frozen core (best-first, dead entries skipped) with the
+    // overlay map.  Ranks are unique across both -- an update tombstones
+    // the core copy before the overlay copy exists -- so the strict
+    // comparison below decides every head-to-head.
+    while (cursor_ < sorted_.size() && alive_[sorted_[cursor_].second] == 0) ++cursor_;
+    std::size_t ci = cursor_;
+    auto oit = order_.begin();
+    while (true) {
+        while (ci < sorted_.size() && alive_[sorted_[ci].second] == 0) ++ci;
+        const bool have_core = ci < sorted_.size();
+        const bool have_overlay = oit != order_.end();
+        if (!have_core && !have_overlay) return nullptr;
+        bool take_core = have_core;
+        if (have_core && have_overlay) take_core = sorted_[ci].first < pack_pick(oit->first);
+        const entry& e =
+            take_core ? pool_[sorted_[ci].second] : pool_[index_.at(oit->second)];
+        if (blacklist.empty() || blacklist.count(e.cand.packed_key()) == 0) return &e.cand;
+        if (take_core)
+            ++ci;
+        else
+            ++oit;
     }
-    for (const auto& [pick, key] : order_) {
-        const entry& e = pool_[index_.at(key)];
-        if (!blacklist.empty() && blacklist.count(e.cand.packed_key()) > 0) continue;
-        return &e.cand;
-    }
-    return nullptr;
 }
 
 void candidate_store::apply_accept(const compat_inputs& in, const merge_candidate& chosen,
@@ -585,73 +491,47 @@ void candidate_store::apply_accept(const compat_inputs& in, const merge_candidat
         if (e.is_pair()) return affected[e.x().index()] || affected[e.y().index()] ? true : false;
         return (affected[e.x().index()] ? true : false) || e.cand.instance == changed_instance;
     };
-    std::vector<entry> broken;
-    if (flat_) {
-        // Indexed: the committed ops' node lists name their entries, and
-        // a (start cycle, module) bucket holds slots of one interval and
-        // one power, so a single fits() probe per overlapping bucket
-        // decides all of its entries (refs whose entry has since moved
-        // to another start are stale and skipped).
-        const auto drop_node = [&](node_id v) {
-            std::vector<std::uint32_t>& refs = by_node_[v.index()];
-            for (const std::uint32_t pos : refs)
-                if (alive_[pos] != 0) kill(pos);
-            std::vector<std::uint32_t>().swap(refs); // committed ops get no new entries
-        };
-        drop_node(chosen.a);
-        if (pair) drop_node(chosen.b);
+    // The committed ops' node lists name their entries, and a (start
+    // cycle, module) bucket holds slots of one interval and one power, so
+    // a single fits() probe per overlapping bucket decides all of its
+    // entries (refs whose entry has since moved to another start are
+    // stale and skipped).
+    const auto drop_node = [&](node_id v) {
+        std::vector<std::uint32_t>& refs = by_node_[v.index()];
+        for (const std::uint32_t pos : refs)
+            if (alive_[pos] != 0) kill(pos);
+        std::vector<std::uint32_t>().swap(refs); // committed ops get no new entries
+    };
+    drop_node(chosen.a);
+    if (pair) drop_node(chosen.b);
 
-        std::vector<std::uint32_t> hits;
-        const auto probe = [&](std::pair<int, int> res) {
-            for (int mi = 0; mi < modules_; ++mi) {
-                const fu_module& m = in.lib->module(module_id(mi));
-                // [t, t + latency) overlaps [res.first, res.second).
-                for (int t = std::max(0, res.first - m.latency + 1); t < res.second; ++t) {
-                    const std::size_t b = bucket_of(t, module_id(mi));
-                    if (b >= slots_.size() || slots_[b].empty()) continue;
-                    if (in.committed_power->fits(t, m.latency, m.power)) continue;
-                    for (const std::uint32_t pos : slots_[b]) {
-                        const entry& e = pool_[pos];
-                        const bool current =
-                            e.cand.t_a == t || (e.is_pair() && e.cand.t_b == t);
-                        if (alive_[pos] != 0 && current) hits.push_back(pos);
-                    }
+    std::vector<std::uint32_t> hits;
+    const auto probe = [&](std::pair<int, int> res) {
+        for (int mi = 0; mi < modules_; ++mi) {
+            const fu_module& m = in.lib->module(module_id(mi));
+            // [t, t + latency) overlaps [res.first, res.second).
+            for (int t = std::max(0, res.first - m.latency + 1); t < res.second; ++t) {
+                const std::size_t b = bucket_of(t, module_id(mi));
+                if (b >= slots_.size() || slots_[b].empty()) continue;
+                if (in.committed_power->fits(t, m.latency, m.power)) continue;
+                for (const std::uint32_t pos : slots_[b]) {
+                    const entry& e = pool_[pos];
+                    const bool current =
+                        e.cand.t_a == t || (e.is_pair() && e.cand.t_b == t);
+                    if (alive_[pos] != 0 && current) hits.push_back(pos);
                 }
             }
-        };
-        probe(res_a);
-        if (pair) probe(res_b);
-        // A pair can sit in two broken buckets, and the two reservations'
-        // ranges can share buckets.
-        std::sort(hits.begin(), hits.end());
-        hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-        for (const std::uint32_t pos : hits)
-            if (!generation_covers(pool_[pos])) broken.push_back(pool_[pos]);
-    } else {
-        // Classic: one linear sweep of the dense pool.
-        const auto hits_interval = [&](int lo, int hi) {
-            if (lo < res_a.second && res_a.first < hi) return true;
-            return pair && lo < res_b.second && res_b.first < hi;
-        };
-        const auto slot_broke = [&](const entry& e) {
-            const fu_module& m = in.lib->module(e.cand.module);
-            const bool hit_a = hits_interval(e.cand.t_a, e.cand.t_a + m.latency);
-            const bool hit_b =
-                e.is_pair() && hits_interval(e.cand.t_b, e.cand.t_b + m.latency);
-            return (hit_a && !in.committed_power->fits(e.cand.t_a, m.latency, m.power)) ||
-                   (hit_b && !in.committed_power->fits(e.cand.t_b, m.latency, m.power));
-        };
-        for (std::size_t i = 0; i < pool_.size();) {
-            const entry& e = pool_[i];
-            if ((*in.committed)[e.x().index()] ||
-                (e.is_pair() && (*in.committed)[e.y().index()])) {
-                erase_at(i); // swap-pop: the swapped-in entry is re-examined
-                continue;
-            }
-            if (!generation_covers(e) && slot_broke(e)) broken.push_back(e);
-            ++i;
         }
-    }
+    };
+    probe(res_a);
+    if (pair) probe(res_b);
+    // A pair can sit in two broken buckets, and the two reservations'
+    // ranges can share buckets.
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    std::vector<entry> broken;
+    for (const std::uint32_t pos : hits)
+        if (!generation_covers(pool_[pos])) broken.push_back(pool_[pos]);
     stats_.broken_slots += static_cast<long long>(broken.size());
 
     // 4. Generative re-score of everything touching an affected node or
@@ -713,13 +593,11 @@ void candidate_store::apply_accept(const compat_inputs& in, const merge_candidat
 
     // 6. Amortised compaction: the pool stays within twice the live set,
     // and the buckets within about twice the live entries' refs.
-    if (flat_) {
-        if (pool_.size() - live_ > live_ || stale_refs_ > 2 * live_) compact();
-        if (live_ > 0)
-            stats_.peak_pool_ratio =
-                std::max(stats_.peak_pool_ratio, static_cast<double>(pool_.size()) /
-                                                     static_cast<double>(live_));
-    }
+    if (pool_.size() - live_ > live_ || stale_refs_ > 2 * live_) compact();
+    if (live_ > 0)
+        stats_.peak_pool_ratio =
+            std::max(stats_.peak_pool_ratio,
+                     static_cast<double>(pool_.size()) / static_cast<double>(live_));
 }
 
 } // namespace phls

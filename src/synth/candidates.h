@@ -23,8 +23,8 @@
 // best_candidate() (saving desc, joins before pairs, smaller ops, then
 // enumeration order) and serves the next pick in O(log n).
 //
-// Per-accept cost of the flat store (the default): an accept costs what
-// it changed, never a pass over the whole pool.
+// Per-accept cost: an accept costs what it changed, never a pass over
+// the whole pool.
 //
 //   * the generative re-score: every combo of an `affected` op (changed
 //     window, or adjacent to one) plus joins onto the changed instance,
@@ -44,13 +44,11 @@
 //     a fresh sorted core, so the pool never holds more than twice the
 //     live entries after an accept.
 //
-// The classic store (soa_arena off) keeps the reference-era per-accept
-// sweep over every entry.
-//
-// The store is an internal engine of run_clique_partitioning (knob:
-// kernel_knobs().incremental_candidates); results are bit-identical to
-// the reference enumeration, which tests assert via
-// kernel_tuning::cross_check.
+// The store is the fast path's engine inside run_clique_partitioning
+// and scores through the struct-of-arrays arena (synth/arena.h).  The
+// reference oracle (synthesis_options::reference_kernels) runs the full
+// enumerate_candidates() per iteration instead; results are
+// bit-identical, which tests assert via synthesis_options::cross_check.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +64,15 @@ namespace phls {
 /// Best-first store of the currently valid merge candidates.
 class candidate_store {
 public:
+    /// `threads` > 1 fans candidate scoring out over that many workers
+    /// (synthesis_options::intra_threads); decisions are identical at
+    /// every count.
+    explicit candidate_store(int threads = 1) : threads_(threads) {}
+
     /// Discards everything and scores every candidate of the current
     /// state (used initially and after backtrack-and-lock, which moves
-    /// every free operator's fixed time at once).
+    /// every free operator's fixed time at once).  `in.arena` must be
+    /// attached and synced.
     void rebuild(const compat_inputs& in);
 
     bool built() const { return built_; }
@@ -93,9 +97,9 @@ public:
     /// Maintenance counters over the store's lifetime (rebuilds included).
     struct counters {
         long long broken_slots = 0; ///< entries re-scored because a slot broke
-        long long compactions = 0;  ///< flat-store compactions
-        /// Largest pool size / live entries seen after an accept (flat
-        /// store; compaction keeps it at or below 2).
+        long long compactions = 0;  ///< pool compactions
+        /// Largest pool size / live entries seen after an accept
+        /// (compaction keeps it at or below 2).
         double peak_pool_ratio = 0.0;
     };
     const counters& stats() const { return stats_; }
@@ -166,28 +170,23 @@ private:
 
     /// Pure scoring of one combo against the current state: touches no
     /// store state beyond reads of the (frozen during scoring) busy
-    /// table, so batches score concurrently.  With an arena attached, a
-    /// time-independent negative-saving precheck skips the slot probes
-    /// of combos the reference path times and then erases.
+    /// table, so batches score concurrently.  A time-independent
+    /// negative-saving precheck skips the slot probes of combos the
+    /// reference path times and then erases.
     scored score_combo(const compat_inputs& in, const combo& c) const;
 
     /// Installs / updates / removes the entry for one scored combo.
     void apply_scored(scored&& s);
 
-    /// Scores every queued combo -- inline, or fanned out over
-    /// kernel_tuning::intra_threads when the arena path is active --
-    /// then applies the results in combo order (scoring is pure, so the
-    /// deferred application is byte-identical to the sequential
-    /// score-then-apply interleaving at any thread count).  Clears the
-    /// batch.
+    /// Scores every queued combo -- inline, or fanned out over the
+    /// store's worker threads -- then applies the results in combo order
+    /// (scoring is pure, so the deferred application is byte-identical
+    /// to the sequential score-then-apply interleaving at any thread
+    /// count).  Clears the batch.
     void score_batch(const compat_inputs& in, std::vector<combo>& combos);
 
-    /// Re-scores one combo against the current state and installs /
-    /// updates / removes its entry.
-    void score_pair_combo(const compat_inputs& in, node_id x, node_id y, module_id m);
-    void score_join_combo(const compat_inputs& in, node_id x, const fu_instance& inst);
-
-    void erase_at(std::size_t pos);
+    /// Installs a kept entry: in place when its rank is unchanged,
+    /// otherwise as a new overlay entry over the killed old one.
     void store_entry(entry e);
 
     /// pick_key packed into two words whose lexicographic order equals
@@ -206,13 +205,12 @@ private:
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    /// Flat-mode position of `key` (overlay first, then the sorted core,
-    /// dead entries excluded); npos when absent.
-    std::size_t flat_lookup(std::uint64_t key) const;
-    /// Flat-mode erasure: tombstones a core entry, fully removes an
-    /// overlay entry.
+    /// Position of `key` (overlay first, then the sorted core, dead
+    /// entries excluded); npos when absent.
+    std::size_t lookup(std::uint64_t key) const;
+    /// Erasure: tombstones a core entry, fully removes an overlay entry.
     void kill(std::size_t pos);
-    /// Flat-mode insertion of a new overlay entry.
+    /// Insertion of a new overlay entry.
     void append(entry e);
     /// Adds position `pos` to its ops' node lists and its slots' buckets.
     void index_refs(std::uint32_t pos);
@@ -230,42 +228,39 @@ private:
     void compact();
 
     bool built_ = false;
-    /// Flat mode (arena attached at rebuild): the rebuild appends every
-    /// kept entry to `pool_` (combo generation emits each key exactly
-    /// once, so no lookups run), then bulk-sorts two flat indices over
-    /// the frozen core: `sorted_` (best-first pick order) and `keys_`
-    /// (binary-searchable key -> position).  Post-rebuild mutations
-    /// never reorder the core: an update tombstones the old position via
-    /// `alive_` and appends to an overlay indexed by the classic
-    /// `order_`/`index_` maps, and best() merges the core and overlay
-    /// streams.  A position keeps its ops and module while alive, so its
-    /// node-list refs go stale only when it dies; a same-rank update can
-    /// move its slots, filing new bucket refs and leaving the old ones
-    /// stale.  Compaction drops both kinds of waste.  Classic mode keeps
-    /// every entry in the maps directly.
-    bool flat_ = false;
-    /// True while a flat rebuild is generating entries (append-only).
+    int threads_ = 1;
+    /// The rebuild appends every kept entry to `pool_` (combo generation
+    /// emits each key exactly once, so no lookups run), then bulk-sorts
+    /// two flat indices over the frozen core: `sorted_` (best-first pick
+    /// order) and `keys_` (binary-searchable key -> position).
+    /// Post-rebuild mutations never reorder the core: an update
+    /// tombstones the old position via `alive_` and appends to an
+    /// overlay indexed by the `order_`/`index_` maps, and best() merges
+    /// the core and overlay streams.  A position keeps its ops and module
+    /// while alive, so its node-list refs go stale only when it dies; a
+    /// same-rank update can move its slots, filing new bucket refs and
+    /// leaving the old ones stale.  Compaction drops both kinds of waste.
+    ///
+    /// True while a rebuild is generating entries (append-only).
     bool rebuilding_ = false;
     std::size_t core_size_ = 0;
-    std::size_t live_ = 0;       ///< flat mode: alive entries
-    std::size_t stale_refs_ = 0; ///< flat mode: bucket refs to a moved slot
+    std::size_t live_ = 0;       ///< alive entries
+    std::size_t stale_refs_ = 0; ///< bucket refs to a moved slot
     /// First possibly-alive core rank; dead prefixes are skipped once.
     mutable std::size_t cursor_ = 0;
     std::vector<std::pair<pick128, std::uint32_t>> sorted_; ///< core pick order
     std::vector<std::pair<std::uint64_t, std::uint32_t>> keys_; ///< core key index
     std::vector<char> alive_;
-    /// Flat mode: positions of every entry per op (x and y of a pair).
+    /// Positions of every entry per op (x and y of a pair).
     std::vector<std::vector<std::uint32_t>> by_node_;
-    /// Flat mode: positions of every cached slot per (start cycle,
-    /// module) -- see bucket_of().
+    /// Positions of every cached slot per (start cycle, module) -- see
+    /// bucket_of().
     std::vector<std::vector<std::uint32_t>> slots_;
     int modules_ = 0;
-    /// Dense entry pool (swap-pop erasure in classic mode, tombstones in
-    /// flat mode) + key index; contiguous so the classic per-accept
-    /// sweep is a linear scan, not a node-chasing walk.
+    /// Dense entry pool (dead entries tombstoned until compaction).
     std::vector<entry> pool_;
-    std::unordered_map<std::uint64_t, std::size_t> index_;
-    std::map<pick_key, std::uint64_t> order_; ///< best first
+    std::unordered_map<std::uint64_t, std::size_t> index_; ///< overlay key index
+    std::map<pick_key, std::uint64_t> order_; ///< overlay, best first
     std::vector<std::vector<module_id>> screen_; ///< kind x kind module lists
     /// Per-instance sorted busy intervals, maintained on bind instead of
     /// rebuilt per candidate per iteration.

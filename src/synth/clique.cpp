@@ -9,7 +9,6 @@
 #include "flow/explore_cache.h"
 #include "sched/mobility.h"
 #include "support/errors.h"
-#include "support/kernels.h"
 #include "support/log.h"
 #include "support/strings.h"
 #include "synth/arena.h"
@@ -38,37 +37,49 @@ struct partition_state {
     explicit partition_state(double cap) : committed_power(cap) {}
 };
 
-/// Accumulates wall time into a kernel_timers field; pass nullptr when
-/// timing is off.  The caller samples kernel_timing().collect once per
-/// synthesis run (not once per region entry), so the disabled path costs
-/// one pointer test and a mid-run flip affects the next run only.
+/// Accumulates the wall time of one kernel region into a
+/// synthesis_stats timer.
 class scoped_ns {
 public:
-    explicit scoped_ns(long long* acc) : acc_(acc)
-    {
-        if (acc_) t0_ = std::chrono::steady_clock::now();
-    }
+    explicit scoped_ns(long long& acc) : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
     ~scoped_ns()
     {
-        if (acc_)
-            *acc_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - t0_)
-                         .count();
+        acc_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0_)
+                    .count();
     }
     scoped_ns(const scoped_ns&) = delete;
     scoped_ns& operator=(const scoped_ns&) = delete;
 
 private:
-    long long* acc_;
+    long long& acc_;
     std::chrono::steady_clock::time_point t0_;
 };
+
+/// The reference pipeline's pick: enumerate every candidate, drop
+/// negative savings and blacklisted keys, take best_candidate().  Runs
+/// with the arena detached and the linear slot probe, so it shares no
+/// scoring shortcut with the store it checks.
+std::optional<merge_candidate>
+reference_pick(compat_inputs in, const std::unordered_set<std::uint64_t>& blacklist)
+{
+    in.arena = nullptr;
+    in.linear_probe = true;
+    std::vector<merge_candidate> candidates = enumerate_candidates(in);
+    std::erase_if(candidates, [&](const merge_candidate& c) {
+        return c.saving < 0.0 || blacklist.count(c.packed_key()) > 0;
+    });
+    const int bi = best_candidate(candidates);
+    if (bi < 0) return std::nullopt;
+    return candidates[static_cast<std::size_t>(bi)];
+}
 
 /// O(changes) rollback of one merge attempt: the exact pre-attempt value
 /// of every field a commit touches, captured *before* the mutation.  The
 /// power profile slice is captured by value (release() re-subtracts and
 /// can drift in the last ulp; restoring the captured doubles is
 /// bit-exact, so decisions after a rollback are identical to the
-/// snapshot-copy reference path).
+/// reference oracle's snapshot copy).
 struct op_undo {
     node_id v;
     module_id assignment;
@@ -148,11 +159,10 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     check(n < (1 << packed_node_bits) && lib.size() < (1 << packed_module_bits),
           "graph or library too large for packed candidate keys");
 
-    const kernel_tuning& knobs = kernel_knobs();
-    kernel_timers& timers = kernel_timing();
-    // Sampled once per run; scoped_ns takes the resolved pointer.
-    long long* const candidates_acc = timers.collect ? &timers.candidates_ns : nullptr;
-    long long* const rollback_acc = timers.collect ? &timers.rollback_ns : nullptr;
+    // The fast path (candidate store over the arena, skip-ahead probes,
+    // undo log) or the reference oracle (full re-enumeration, linear
+    // probes, deep-copy rollback); byte-identical decisions either way.
+    const bool reference = options.reference_kernels;
 
     // 1. Prospect modules under the power cap (one table per
     // admissible-module set when a batch cache is attached).
@@ -216,14 +226,13 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     const reachability& reach = cache ? cache->reach() : *local_reach;
     bool locked = false;
 
-    candidate_store store;
+    candidate_store store(options.intra_threads);
 
-    // Struct-of-arrays scoring arena (knobs.soa_arena): an engine of the
-    // incremental store, synced to the scheduling state before every
-    // store rebuild and every apply_accept.  Left detached otherwise so
-    // the reference paths run the reference scoring.
+    // Struct-of-arrays scoring arena: an engine of the candidate store,
+    // synced to the scheduling state before every store rebuild and
+    // every apply_accept.  The reference oracle scores without it.
     std::optional<synth_arena> arena_store;
-    if (knobs.soa_arena && knobs.incremental_candidates) {
+    if (!reference) {
         arena_store.emplace();
         arena_store->build(g, lib);
     }
@@ -259,8 +268,8 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
     };
 
     // One attempt's rollback state: an undo log of the fields the commit
-    // touches (knobs.undo_log), or the reference full deep copy.  Both
-    // the merge loop and the finalisation rebind go through this single
+    // touches, or the reference oracle's full deep copy.  Both the merge
+    // loop and the finalisation rebind go through this single
     // capture/rollback pair so the two paths cannot drift apart.
     struct rollback_point {
         merge_undo undo;
@@ -270,23 +279,23 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         [&](std::initializer_list<std::pair<node_id, int>> ops, int duration,
             bool adds_instance) {
             rollback_point rp;
-            const scoped_ns timer(rollback_acc);
-            if (knobs.undo_log) {
+            const scoped_ns timer(result.stats.rollback_ns);
+            if (reference) {
+                rp.snapshot.emplace(st);
+            } else {
                 rp.undo.ops.reserve(ops.size());
                 for (const auto& [v, t] : ops)
                     rp.undo.ops.push_back(capture_op(st, v, t, duration));
                 rp.undo.added_instance = adds_instance;
-            } else {
-                rp.snapshot.emplace(st);
             }
             return rp;
         };
     const auto rollback_state = [&](rollback_point& rp) {
-        const scoped_ns timer(rollback_acc);
-        if (knobs.undo_log)
-            unwind(st, rp.undo);
-        else
+        const scoped_ns timer(result.stats.rollback_ns);
+        if (reference)
             st = std::move(*rp.snapshot);
+        else
+            unwind(st, rp.undo);
     };
 
     // 4. Greedy merge loop.
@@ -311,58 +320,37 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
         in.locked = locked;
         in.arena = arena;
 
-        // Pick the best candidate: either incrementally maintained
-        // across iterations, or the reference full re-enumeration.
-        merge_candidate chosen;
-        bool have = false;
-        if (knobs.incremental_candidates) {
-            const scoped_ns timer(candidates_acc);
-            if (!store.built()) {
-                if (arena != nullptr) arena->sync(in);
-                store.rebuild(in);
-            }
-            const merge_candidate* c = store.best(blacklist);
-            if (c != nullptr) {
-                chosen = *c;
-                have = true;
-            }
-        } else {
-            const scoped_ns timer(candidates_acc);
-            std::vector<merge_candidate> candidates = enumerate_candidates(in);
-            std::erase_if(candidates, [&](const merge_candidate& c) {
-                return c.saving < 0.0 || blacklist.count(c.packed_key()) > 0;
-            });
-            const int bi = best_candidate(candidates);
-            if (bi >= 0) {
-                chosen = candidates[static_cast<std::size_t>(bi)];
-                have = true;
+        // Pick the best candidate: from the incrementally maintained
+        // store, or by the reference oracle's full re-enumeration.
+        std::optional<merge_candidate> pick;
+        {
+            const scoped_ns timer(result.stats.candidates_ns);
+            if (reference) {
+                pick = reference_pick(in, blacklist);
+            } else {
+                if (!store.built()) {
+                    arena->sync(in);
+                    store.rebuild(in);
+                }
+                if (const merge_candidate* c = store.best(blacklist)) pick = *c;
             }
         }
-        if (knobs.incremental_candidates && knobs.cross_check) {
+        if (!reference && options.cross_check) {
             // Testing aid: the reference pipeline must agree with the
-            // store, decision for decision.  The reference enumeration
-            // runs with the arena detached, so cross_check genuinely
-            // compares arena scoring against reference scoring.
-            compat_inputs ref_in = in;
-            ref_in.arena = nullptr;
-            std::vector<merge_candidate> candidates = enumerate_candidates(ref_in);
-            std::erase_if(candidates, [&](const merge_candidate& c) {
-                return c.saving < 0.0 || blacklist.count(c.packed_key()) > 0;
-            });
-            const int bi = best_candidate(candidates);
-            check((bi >= 0) == have,
+            // store, decision for decision.
+            const std::optional<merge_candidate> ref = reference_pick(in, blacklist);
+            check(ref.has_value() == pick.has_value(),
                   "incremental candidate store disagrees with the reference "
                   "enumeration about candidate existence");
-            if (have) {
-                const merge_candidate& ref = candidates[static_cast<std::size_t>(bi)];
-                check(ref.packed_key() == chosen.packed_key() && ref.t_a == chosen.t_a &&
-                          ref.t_b == chosen.t_b && ref.saving == chosen.saving,
+            if (pick)
+                check(ref->packed_key() == pick->packed_key() && ref->t_a == pick->t_a &&
+                          ref->t_b == pick->t_b && ref->saving == pick->saving,
                       "incremental candidate store disagrees with the reference "
                       "enumeration: " +
-                          ref.key() + " vs " + chosen.key());
-            }
+                          ref->key() + " vs " + pick->key());
         }
-        if (!have) break;
+        if (!pick) break;
+        const merge_candidate chosen = *pick;
 
         const int chosen_delay = lib.module(chosen.module).latency;
         const bool is_pair = chosen.type == merge_candidate::merge_type::pair;
@@ -389,9 +377,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             else
                 ++result.stats.join_merges;
             blacklist.clear();
-            if (knobs.incremental_candidates && store.built()) {
-                const scoped_ns timer(candidates_acc);
-                if (arena != nullptr) arena->sync(in);
+            if (store.built()) {
+                const scoped_ns timer(result.stats.candidates_ns);
+                arena->sync(in);
                 store.apply_accept(in, chosen, previous);
             }
             log_debug() << "accepted " << chosen.key() << " saving " << chosen.saving;
@@ -410,13 +398,9 @@ synthesis_result run_clique_partitioning(const graph& g, const module_library& l
             blacklist.insert(chosen.packed_key());
     }
 
-    if (timers.collect) {
-        const candidate_store::counters& sc = store.stats();
-        timers.broken_slots += sc.broken_slots;
-        timers.store_compactions += sc.compactions;
-        timers.store_peak_pool_ratio =
-            std::max(timers.store_peak_pool_ratio, sc.peak_pool_ratio);
-    }
+    result.stats.broken_slots = store.stats().broken_slots;
+    result.stats.store_compactions = store.stats().compactions;
+    result.stats.store_peak_pool_ratio = store.stats().peak_pool_ratio;
 
     // 5. Finalisation: leftover operators become singleton instances.
     // First give each a chance to move to the cheapest power-feasible

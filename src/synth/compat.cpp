@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "support/errors.h"
-#include "support/kernels.h"
 #include "support/strings.h"
 #include "synth/arena.h"
 
@@ -84,7 +83,7 @@ bool overlaps(int s1, int e1, int s2, int e2) { return s1 < e2 && s2 < e1; }
 
 /// Reference probe: smallest t in [lo, hi] such that [t, t+d) avoids
 /// `busy` and fits the committed power reservations; -1 if none.  The
-/// seed-era linear scan, retained for the skip_probe ablation.
+/// seed-era linear scan, kept for the reference oracle.
 int find_slot_linear(const compat_inputs& in, int lo, int hi, int d, double power,
                      const std::vector<std::pair<int, int>>& busy)
 {
@@ -137,8 +136,8 @@ int find_slot_skip(const compat_inputs& in, int lo, int hi, int d, double power,
 int find_slot(const compat_inputs& in, int lo, int hi, int d, double power,
               const std::vector<std::pair<int, int>>& busy)
 {
-    if (kernel_knobs().skip_probe) return find_slot_skip(in, lo, hi, d, power, busy);
-    return find_slot_linear(in, lo, hi, d, power, busy);
+    if (in.linear_probe) return find_slot_linear(in, lo, hi, d, power, busy);
+    return find_slot_skip(in, lo, hi, d, power, busy);
 }
 
 /// Window of `v`: its pasap/palap range, or its pinned time when fixed.

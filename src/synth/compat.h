@@ -85,12 +85,16 @@ struct compat_inputs {
     const power_tracker* committed_power = nullptr; ///< reservations of committed ops
     const module_assignment* assignment = nullptr;  ///< current per-node modules
     bool locked = false; ///< all free ops pinned to their pasap times
-    /// Optional struct-of-arrays fast path (kernel_tuning::soa_arena):
-    /// when set, clamp_by_neighbors and standalone_area answer from the
-    /// arena's O(1) per-node caches instead of walking the graph.  The
-    /// owner must arena->sync() after every scheduling-state change;
-    /// results are byte-identical either way.
+    /// Optional struct-of-arrays fast path (synth/arena.h): when set,
+    /// clamp_by_neighbors and standalone_area answer from the arena's
+    /// O(1) per-node caches instead of walking the graph.  The owner must
+    /// arena->sync() after every scheduling-state change; results are
+    /// byte-identical either way.
     const synth_arena* arena = nullptr;
+    /// Slot probing: the seed-era linear scan (the reference oracle's
+    /// enumeration) instead of power_tracker::next_fit skip-ahead.  Both
+    /// find the same minimal slot.
+    bool linear_probe = false;
 };
 
 /// Standalone area of one operation: the cheapest module for its kind

@@ -50,6 +50,22 @@ struct synthesis_options {
     /// reference and optimised candidate kernels over an identical
     /// bounded prefix of large synthetic runs.
     int max_merge_attempts = -1;
+    /// Run the reference oracle instead of the fast kernels: a full
+    /// enumerate_candidates() per merge-loop iteration with the arena
+    /// detached and the linear slot probe, and a partition_state deep
+    /// copy per rollback.  Results are byte-identical to the fast path
+    /// (the identity tests and bench_kernels assert it); only wall time
+    /// and the kernel timers in synthesis_stats change.
+    bool reference_kernels = false;
+    /// Testing aid: on the fast path, also run the reference enumeration
+    /// every iteration and throw phls::error when the two would pick
+    /// different candidates.  Slow; tests only.
+    bool cross_check = false;
+    /// Intra-point parallelism: candidate (re-)scoring inside one
+    /// partitioning run fans out over this many worker threads.  Scoring
+    /// is pure and results are applied in a fixed order, so every thread
+    /// count gives byte-identical decisions.  Fast path only.
+    int intra_threads = 1;
 };
 
 /// Counters describing what the heuristic did.
@@ -63,6 +79,16 @@ struct synthesis_stats {
     int merges_before_lock = -1;
     int finalize_rebinds = 0; ///< singletons moved to a cheaper module
     int finalize_fallbacks = 0;
+    // Kernel timers and candidate-store counters of the partitioning run
+    // that produced the design.  Timing noise or path-dependent, so
+    // flow_report::to_string() leaves them out (like wall_ms).
+    long long candidates_ns = 0;     ///< candidate enumeration / store upkeep + pick
+    long long rollback_ns = 0;       ///< rollback state capture + restore
+    long long broken_slots = 0;      ///< store entries re-scored because a slot broke
+    long long store_compactions = 0; ///< candidate-store compactions
+    /// Largest store pool size / live entries after an accept (compaction
+    /// keeps it at or below 2; 0 on the reference path).
+    double store_peak_pool_ratio = 0.0;
 };
 
 /// Synthesis outcome.  `feasible == false` is an expected result for

@@ -1,23 +1,26 @@
-// Byte-identity of the optimised synthesis kernels against the
-// retained reference implementations, across the kernel_knobs()
-// ablation matrix: skip-ahead power probing, incremental candidate
-// maintenance, undo-log rollback, the SoA synthesis arena, dense
-// power probing and intra-point parallel scoring must change wall
-// time only -- never a schedule, a datapath, a counter or a
-// diagnostic.
+// Byte-identity of the fast synthesis kernels against the reference
+// oracle (synthesis_options::reference_kernels): the candidate store
+// over the SoA arena, skip-ahead power probing, the undo-log rollback
+// and intra-point parallel scoring must change wall time only -- never
+// a schedule, a datapath, a counter or a diagnostic.  Every identity
+// test compares three kernel sets: the reference oracle, the fast path,
+// and the fast path at 8 intra-point threads.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/benchmarks.h"
 #include "cdfg/random_dag.h"
+#include "flow/explore_cache.h"
 #include "flow/flow.h"
 #include "sched/pasap.h"
-#include "support/kernels.h"
 #include "support/strings.h"
 #include "synth/synthesizer.h"
 
@@ -30,22 +33,25 @@ const module_library& lib()
     return l;
 }
 
-/// Restores the global knobs on scope exit so tests cannot leak state.
-struct knob_guard {
-    kernel_tuning saved = kernel_knobs();
-    ~knob_guard() { kernel_knobs() = saved; }
-};
-
-kernel_tuning all_reference()
+synthesis_options reference_kernels(synthesis_options o = {})
 {
-    kernel_tuning k;
-    k.skip_probe = false;
-    k.incremental_candidates = false;
-    k.undo_log = false;
-    k.soa_arena = false;
-    k.dense_power = false;
-    k.intra_threads = 1;
-    return k;
+    o.reference_kernels = true;
+    return o;
+}
+
+synthesis_options fast_kernels(synthesis_options o = {}, int intra_threads = 1)
+{
+    o.reference_kernels = false;
+    o.intra_threads = intra_threads;
+    return o;
+}
+
+/// Peak resident set of this process so far, in bytes.
+long long peak_rss_bytes()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<long long>(ru.ru_maxrss) * 1024; // Linux: KiB
 }
 
 /// Canonical rendering of a synthesis result: the full datapath report
@@ -63,12 +69,21 @@ std::string render(const graph& g, const synthesis_result& r)
     return out;
 }
 
-std::string run_with(const kernel_tuning& knobs, const graph& g,
-                     const synthesis_constraints& c, const synthesis_options& o = {})
+std::string run_with(const synthesis_options& o, const graph& g,
+                     const synthesis_constraints& c)
 {
-    const knob_guard guard;
-    kernel_knobs() = knobs;
     return render(g, synthesize(g, lib(), c, o));
+}
+
+/// Runs `o` under the reference oracle, the fast path and the fast path
+/// at 8 intra-point threads, and expects all three renders to agree.
+void expect_identical_kernels(const graph& g, const synthesis_constraints& c,
+                              const synthesis_options& o, const std::string& what)
+{
+    const std::string reference = run_with(reference_kernels(o), g, c);
+    EXPECT_EQ(run_with(fast_kernels(o), g, c), reference) << what << ": fast path diverges";
+    EXPECT_EQ(run_with(fast_kernels(o, 8), g, c), reference)
+        << what << ": fast path at 8 intra-point threads diverges";
 }
 
 TEST(kernels, paper_benchmarks_identical_across_every_knob)
@@ -78,23 +93,8 @@ TEST(kernels, paper_benchmarks_identical_across_every_knob)
         const graph g = benchmark_by_name(name);
         // From generous to infeasibly tight, crossing the backtrack-lock
         // and rejection regimes.
-        for (const double cap : {unbounded_power, 40.0, 12.0, 7.1, 5.0, 2.3}) {
-            const synthesis_constraints c{T, cap};
-            const std::string reference = run_with(all_reference(), g, c);
-            EXPECT_EQ(run_with(kernel_tuning{}, g, c), reference)
-                << name << " cap " << cap << ": all-optimised diverges";
-            for (int knob = 0; knob < 6; ++knob) {
-                kernel_tuning k; // one optimisation toggled at a time
-                if (knob == 0) k.skip_probe = false;
-                if (knob == 1) k.incremental_candidates = false;
-                if (knob == 2) k.undo_log = false;
-                if (knob == 3) k.soa_arena = false;
-                if (knob == 4) k.dense_power = false;
-                if (knob == 5) k.intra_threads = 8;
-                EXPECT_EQ(run_with(k, g, c), reference)
-                    << name << " cap " << cap << ": knob " << knob << " diverges";
-            }
-        }
+        for (const double cap : {unbounded_power, 40.0, 12.0, 7.1, 5.0, 2.3})
+            expect_identical_kernels(g, {T, cap}, {}, strf("%s cap %g", name, cap));
     }
 }
 
@@ -106,14 +106,10 @@ TEST(kernels, option_variants_identical_across_knobs)
     variants[2].enable_backtrack_lock = false;
     variants[3].allow_cheapest_rebind = false;
     variants[3].order = pasap_order::topological;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        for (const double cap : {9.0, 5.5, 3.0}) {
-            const synthesis_constraints c{16, cap};
-            EXPECT_EQ(run_with(kernel_tuning{}, g, c, variants[i]),
-                      run_with(all_reference(), g, c, variants[i]))
-                << "variant " << i << " cap " << cap;
-        }
-    }
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        for (const double cap : {9.0, 5.5, 3.0})
+            expect_identical_kernels(g, {16, cap}, variants[i],
+                                     strf("variant %zu cap %g", i, cap));
 }
 
 TEST(kernels, cross_check_validates_incremental_store_on_random_dags)
@@ -121,9 +117,8 @@ TEST(kernels, cross_check_validates_incremental_store_on_random_dags)
     // cross_check makes the merge loop run BOTH candidate paths and
     // throw on any divergence, decision for decision -- a much finer
     // probe than comparing final outputs.
-    const knob_guard guard;
-    kernel_knobs() = kernel_tuning{};
-    kernel_knobs().cross_check = true;
+    synthesis_options checked;
+    checked.cross_check = true;
 
     for (const std::uint64_t seed : {1ull, 7ull, 23ull, 101ull}) {
         random_dag_params params;
@@ -139,7 +134,7 @@ TEST(kernels, cross_check_validates_incremental_store_on_random_dags)
         int checked_merges = 0; // decisions both paths agreed on
         for (const double scale : {1.0, 0.7, 0.45}) {
             const double cap = scale * probe.dp.peak_power(lib());
-            checked_merges += synthesize(g, lib(), {cp + 6, cap}).stats.merges;
+            checked_merges += synthesize(g, lib(), {cp + 6, cap}, checked).stats.merges;
         }
         EXPECT_GT(checked_merges, 0) << "seed " << seed;
     }
@@ -156,11 +151,10 @@ TEST(kernels, random_dags_identical_across_knobs)
         const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
         const int cp = critical_path_length(
             g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
-        for (const double cap : {30.0, 11.0, 6.0}) {
-            const synthesis_constraints c{cp + 5, cap};
-            EXPECT_EQ(run_with(kernel_tuning{}, g, c), run_with(all_reference(), g, c))
-                << "seed " << seed << " cap " << cap;
-        }
+        for (const double cap : {30.0, 11.0, 6.0})
+            expect_identical_kernels(g, {cp + 5, cap}, {},
+                                     strf("seed %llu cap %g",
+                                          static_cast<unsigned long long>(seed), cap));
     }
 }
 
@@ -173,99 +167,71 @@ TEST(kernels, truncated_merge_loop_identical_across_knobs)
     o.verify_result = false; // a truncated loop may miss the area target
     for (const int attempts : {0, 1, 4, 9}) {
         o.max_merge_attempts = attempts;
-        EXPECT_EQ(run_with(kernel_tuning{}, g, {22, 20.0}, o),
-                  run_with(all_reference(), g, {22, 20.0}, o))
-            << "attempt cap " << attempts;
+        expect_identical_kernels(g, {22, 20.0}, o, strf("attempt cap %d", attempts));
     }
+}
+
+/// The bench_kernels synthetic ALU family at `n` operations, with the
+/// attempt-bounded, locked options its identity anchors use.
+struct synthetic_case {
+    graph g;
+    synthesis_constraints c;
+    synthesis_options o;
+};
+
+synthetic_case synthetic_alu(int n, int inputs)
+{
+    random_dag_params params;
+    params.operations = n;
+    params.inputs = inputs; // the bench family's n/12 input ratio
+    params.layers = 10;
+    params.mult_fraction = 0.0;
+    synthetic_case sc{random_dag(params, 777 + static_cast<std::uint64_t>(n)), {}, {}};
+    const module_assignment fast = fastest_assignment(sc.g, lib(), unbounded_power);
+    const int cp = critical_path_length(
+        sc.g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
+    sc.o.lock_from_start = true;
+    sc.o.try_both_prospects = false;
+    sc.o.verify_result = false; // a truncated loop may miss the area target
+    sc.o.max_merge_attempts = 2;
+    sc.c = {cp + 4, unbounded_power};
+    return sc;
 }
 
 TEST(kernels, thousand_op_dag_identical_across_every_knob)
 {
     // Mid-scale anchor for the large-graph path: a 1000-op DAG from the
-    // bench_kernels synthetic family, attempt-bounded, compared against
-    // the seed-era reference for the all-optimised default, each
-    // optimisation toggled alone, and the PR-5 kernel set (incremental
-    // store without the SoA arena).
-    random_dag_params params;
-    params.operations = 1000;
-    params.inputs = 83; // the bench family's n/12 input ratio
-    params.layers = 10;
-    params.mult_fraction = 0.0;
-    const graph g = random_dag(params, 777 + 1000);
-    const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
-    const int cp = critical_path_length(
-        g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
-
-    synthesis_options o;
-    o.lock_from_start = true;
-    o.try_both_prospects = false;
-    o.verify_result = false; // a truncated loop may miss the area target
-    o.max_merge_attempts = 2;
-    const synthesis_constraints c{cp + 4, unbounded_power};
-
-    const std::string reference = run_with(all_reference(), g, c, o);
-    EXPECT_EQ(run_with(kernel_tuning{}, g, c, o), reference) << "all-optimised";
-    for (int knob = 0; knob < 6; ++knob) {
-        kernel_tuning k;
-        if (knob == 0) k.skip_probe = false;
-        if (knob == 1) k.incremental_candidates = false;
-        if (knob == 2) k.undo_log = false;
-        if (knob == 3) { // the PR-5 kernel set
-            k.soa_arena = false;
-            k.dense_power = false;
-        }
-        if (knob == 4) k.dense_power = false;
-        if (knob == 5) k.intra_threads = 8;
-        EXPECT_EQ(run_with(k, g, c, o), reference) << "knob " << knob;
-    }
+    // bench_kernels synthetic family, attempt-bounded.
+    const synthetic_case sc = synthetic_alu(1000, 83);
+    expect_identical_kernels(sc.g, sc.c, sc.o, "1000-op DAG");
 }
 
 TEST(kernels, ten_k_op_dag_identical_across_threads)
 {
-    // The data-oriented rewrite targets graphs two orders of magnitude
+    // The data-oriented core targets graphs two orders of magnitude
     // beyond the paper benchmarks.  Run an attempt-bounded prefix of the
     // merge loop on a 10k-operation DAG and demand byte-identity between
-    // the seed-era reference kernels and the SoA arena path at 1, 2 and
-    // 8 intra-point threads.  (The PR-5 kernel set is compared against
-    // the arena path at this scale by bench_kernels' 10k-op row; the
-    // mid-scale anchor above covers it in-suite.)
-    random_dag_params params;
-    params.operations = 10000;
-    params.inputs = 833; // the bench family's n/12 input ratio
-    params.layers = 10;
-    params.mult_fraction = 0.0;
-    const graph g = random_dag(params, 777 + 10000);
-    const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
-    const int cp = critical_path_length(
-        g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
-
-    synthesis_options o;
-    o.lock_from_start = true;
-    o.try_both_prospects = false;
-    o.verify_result = false; // a truncated loop may miss the area target
-    o.max_merge_attempts = 2;
-    const synthesis_constraints c{cp + 4, unbounded_power};
-
-    const std::string reference = run_with(all_reference(), g, c, o);
-    for (const int threads : {1, 2, 8}) {
-        kernel_tuning k;
-        k.intra_threads = threads;
-        EXPECT_EQ(run_with(k, g, c, o), reference)
+    // the reference oracle and the fast path at 1, 2 and 8 intra-point
+    // threads, inside a peak-RSS budget (an O(n^2) regression must fail
+    // here, not get the suite OOM-killed).
+    const synthetic_case sc = synthetic_alu(10000, 833);
+    const std::string reference = run_with(reference_kernels(sc.o), sc.g, sc.c);
+    for (const int threads : {1, 2, 8})
+        EXPECT_EQ(run_with(fast_kernels(sc.o, threads), sc.g, sc.c), reference)
             << threads << " intra-point threads diverge on the 10k-op DAG";
-    }
+    constexpr long long budget = 8ll << 30;
+    EXPECT_LE(peak_rss_bytes(), budget) << "10k-op anchor exceeds its 8 GiB peak-RSS budget";
 }
 
 TEST(kernels, cross_check_validates_arena_scoring_on_random_dags)
 {
     // Like the incremental-store fuzz above, but aimed at the SoA arena
     // and the parallel scorer: cross_check re-runs the reference
-    // enumeration (arena detached) after every rebuild and accept, so a
-    // single mis-scored combo anywhere in a run aborts the synthesis.
-    const knob_guard guard;
+    // enumeration (arena detached) every iteration, so a single
+    // mis-scored combo anywhere in a run aborts the synthesis.
     for (const int threads : {1, 8}) {
-        kernel_knobs() = kernel_tuning{};
-        kernel_knobs().cross_check = true;
-        kernel_knobs().intra_threads = threads;
+        synthesis_options checked = fast_kernels({}, threads);
+        checked.cross_check = true;
         for (const std::uint64_t seed : {5ull, 41ull, 97ull}) {
             random_dag_params params;
             params.operations = 30;
@@ -283,40 +249,29 @@ TEST(kernels, cross_check_validates_arena_scoring_on_random_dags)
             int checked_merges = 0; // decisions both paths agreed on
             for (const double scale : {1.0, 0.55}) {
                 const double cap = scale * probe.dp.peak_power(lib());
-                checked_merges += synthesize(g, lib(), {cp + 5, cap}).stats.merges;
+                checked_merges +=
+                    synthesize(g, lib(), {cp + 5, cap}, checked).stats.merges;
             }
             EXPECT_GT(checked_merges, 0) << "seed " << seed << " threads " << threads;
         }
     }
 }
 
-/// Turns the kernel counters on for one scope and restores them after.
-struct timer_guard {
-    kernel_timers saved = kernel_timing();
-    timer_guard()
-    {
-        kernel_timing().collect = true;
-        kernel_timing().reset();
-    }
-    ~timer_guard() { kernel_timing() = saved; }
-};
-
 TEST(kernels, cross_check_covers_broken_slot_revalidation)
 {
     // Free windows under a finite cap: later reservations land on slots
-    // the store cached earlier.  The flat store finds broken slots
-    // through its (start cycle, module) buckets, the classic store by
-    // sweeping every entry; both must re-score exactly the same entries,
-    // and cross_check must agree with the reference decision for
-    // decision.  On the first DAG a store that skipped the revalidation
-    // would pick a stale slot; a zero count would leave the path untested.
+    // the store cached earlier, and the store finds the broken ones
+    // through its (start cycle, module) buckets.  cross_check must agree
+    // with the reference decision for decision, the broken-slot count
+    // must not depend on the thread count, and a zero count would leave
+    // the revalidation path untested.  On the first DAG a store that
+    // skipped the revalidation would pick a stale slot.
     struct dag_case {
         int operations;
         std::uint64_t seed;
         double mult_fraction;
         double cap_scale;
     };
-    const knob_guard guard;
     for (const dag_case& dc : {dag_case{40, 8, 0.0, 0.6}, dag_case{60, 27, 0.3, 0.8}}) {
         random_dag_params params;
         params.operations = dc.operations;
@@ -326,29 +281,22 @@ TEST(kernels, cross_check_covers_broken_slot_revalidation)
         const module_assignment fast = fastest_assignment(g, lib(), unbounded_power);
         const int cp = critical_path_length(
             g, [&](node_id v) { return lib().module(fast[v.index()]).latency; });
-        kernel_knobs() = kernel_tuning{};
         const synthesis_result probe = synthesize(g, lib(), {cp + 4, unbounded_power});
         ASSERT_TRUE(probe.feasible) << probe.reason;
         const synthesis_constraints c{cp + 4, dc.cap_scale * probe.dp.peak_power(lib())};
-        synthesis_options o;
-        o.lock_from_start = false;
 
-        const auto broken_slots = [&](bool flat, int threads) {
-            const timer_guard timers;
-            kernel_knobs() = kernel_tuning{};
-            kernel_knobs().soa_arena = flat;
-            kernel_knobs().cross_check = true;
-            kernel_knobs().intra_threads = threads;
+        const auto broken_slots = [&](int threads) {
+            synthesis_options o = fast_kernels({}, threads);
+            o.lock_from_start = false;
+            o.cross_check = true;
             const synthesis_result r = synthesize(g, lib(), c, o);
             EXPECT_TRUE(r.feasible) << r.reason;
             EXPECT_FALSE(r.stats.locked);
-            return kernel_timing().broken_slots;
+            return r.stats.broken_slots;
         };
-        const long long swept = broken_slots(false, 1);
-        EXPECT_GT(swept, 0) << "seed " << dc.seed;
-        for (const int threads : {1, 8})
-            EXPECT_EQ(broken_slots(true, threads), swept)
-                << "seed " << dc.seed << ", " << threads << " threads";
+        const long long sequential = broken_slots(1);
+        EXPECT_GT(sequential, 0) << "seed " << dc.seed;
+        EXPECT_EQ(broken_slots(8), sequential) << "seed " << dc.seed << ", 8 threads";
     }
 }
 
@@ -372,34 +320,33 @@ TEST(kernels, flat_store_pool_stays_within_twice_its_live_entries)
     synthesis_options o;
     o.try_both_prospects = false;
 
-    const knob_guard guard;
-    kernel_knobs() = kernel_tuning{};
-    const timer_guard timers;
     const synthesis_result r =
         synthesize(g, lib(), {tight.sched.latency(lib()) + 4, cap}, o);
     ASSERT_TRUE(r.feasible) << r.reason;
     EXPECT_GT(r.stats.merges, 500);
-    EXPECT_GT(kernel_timing().store_compactions, 0);
-    EXPECT_GT(kernel_timing().store_peak_pool_ratio, 1.0);
-    EXPECT_LE(kernel_timing().store_peak_pool_ratio, 2.0);
+    EXPECT_GT(r.stats.store_compactions, 0);
+    EXPECT_GT(r.stats.store_peak_pool_ratio, 1.0);
+    EXPECT_LE(r.stats.store_peak_pool_ratio, 2.0);
 }
 
 TEST(kernels, eight_thread_batch_identical_across_knobs)
 {
     const graph g = make_hal();
-    const flow f = flow::on(g).with_library(lib()).latency(17);
+    const flow base = flow::on(g).with_library(lib()).latency(17);
     std::vector<synthesis_constraints> grid;
-    for (const double cap : f.power_grid(16)) grid.push_back({17, cap});
+    for (const double cap : base.power_grid(16)) grid.push_back({17, cap});
 
-    const knob_guard guard;
-    kernel_knobs() = all_reference();
-    const std::vector<flow_report> reference = f.run_batch(grid, 1);
+    const std::vector<flow_report> reference =
+        flow::on(g).with_library(lib()).latency(17).options(reference_kernels()).run_batch(
+            grid, 1);
 
     for (const bool cached : {true, false}) {
         for (const int threads : {1, 8}) {
-            kernel_knobs() = kernel_tuning{};
-            const flow fo =
-                flow::on(g).with_library(lib()).latency(17).caching(cached);
+            const flow fo = flow::on(g)
+                                .with_library(lib())
+                                .latency(17)
+                                .options(fast_kernels({}, threads))
+                                .caching(cached);
             const std::vector<flow_report> reports = fo.run_batch(grid, threads);
             ASSERT_EQ(reports.size(), reference.size());
             for (std::size_t i = 0; i < reports.size(); ++i)
@@ -412,19 +359,51 @@ TEST(kernels, eight_thread_batch_identical_across_knobs)
 TEST(kernels, two_step_strategy_identical_across_knobs)
 {
     const graph g = make_cosine();
-    const knob_guard guard;
     std::vector<std::string> outputs;
-    for (const bool optimised : {false, true}) {
-        kernel_knobs() = optimised ? kernel_tuning{} : all_reference();
+    for (const synthesis_options& o :
+         {reference_kernels(), fast_kernels(), fast_kernels({}, 8)})
         outputs.push_back(flow::on(g)
                               .with_library(lib())
                               .latency(15)
                               .power_cap(20.0)
                               .synthesizer("two_step")
+                              .options(o)
                               .run()
                               .to_string());
+    EXPECT_EQ(outputs[1], outputs[0]);
+    EXPECT_EQ(outputs[2], outputs[0]);
+}
+
+TEST(kernels, fingerprint_separates_oracle_runs_only)
+{
+    // An oracle or cross-checked run must never be served a fast run's
+    // memoised report, while the default fingerprint -- and with it every
+    // saved cache file -- keeps its bytes; intra_threads is not a key.
+    const graph g = make_hal();
+    const auto key = [&](const synthesis_options& o) {
+        return flow::on(g).with_library(lib()).options(o).fingerprint({17, 7.1});
+    };
+    const std::string fast = key({});
+    EXPECT_EQ(key(fast_kernels({}, 8)), fast);
+    synthesis_options checked;
+    checked.cross_check = true;
+    for (const synthesis_options& o : {reference_kernels(), checked}) {
+        const std::string k = key(o);
+        EXPECT_NE(k, fast);
+        EXPECT_EQ(k.compare(0, fast.size(), fast), 0) << "flag must extend the default key";
     }
-    EXPECT_EQ(outputs[0], outputs[1]);
+    EXPECT_NE(key(reference_kernels()), key(checked));
+
+    // On a shared cache the oracle computes its point instead of reading
+    // the fast run's report, and reports the same bytes.
+    const flow fast_flow = flow::on(g).with_library(lib()).latency(17).power_cap(7.1);
+    const std::shared_ptr<explore_cache> cache = fast_flow.build_cache();
+    const flow_report served = flow(fast_flow).reuse(cache).run();
+    const flow_report oracle =
+        flow(fast_flow).options(reference_kernels()).reuse(cache).run();
+    EXPECT_EQ(oracle.to_string(), served.to_string());
+    EXPECT_EQ(cache->stats().report_hits, 0) << "oracle report was served from the memo";
+    EXPECT_EQ(cache->stats().report_misses, 2);
 }
 
 } // namespace

@@ -231,6 +231,87 @@ TEST(tracker, next_fit_matches_linear_probe_on_random_ledgers)
     }
 }
 
+/// Per-cycle definition of fits(): `power` alone within the cap, and
+/// every cycle of the window within it once `power` is added.
+bool per_cycle_fits(const power_tracker& t, int start, int duration, double power)
+{
+    const double limit = t.cap() + power_tracker::tolerance;
+    if (power > limit) return false;
+    for (int c = start; c < start + duration; ++c)
+        if (t.profile().at(c) + power > limit) return false;
+    return true;
+}
+
+TEST(tracker, next_fit_and_fits_match_oracles_across_tree_regrowth)
+{
+    // pasap places every operator through next_fit, so its only oracle
+    // is this one: seeded reserve / release / restore_interval sequences
+    // on ledgers whose horizon grows from empty past 64, 128 and 256
+    // cycles, regrowing the headroom trees built at the first probe.
+    // After every step next_fit must equal the linear probe and fits()
+    // the per-cycle definition.
+    std::mt19937_64 rng(20261020);
+    for (int trial = 0; trial < 12; ++trial) {
+        const double cap = 3.0 + 0.7 * static_cast<double>(trial % 5);
+        power_tracker t(cap);
+        std::vector<std::tuple<int, int, double>> held;
+        std::uniform_int_distribution<int> dur_d(0, 8);
+        std::uniform_real_distribution<double> pow_d(0.05, 1.1 * cap);
+        std::uniform_int_distribution<int> op_d(0, 9);
+
+        const auto check_queries = [&](int step) {
+            // Starts reach past the horizon, where every cycle is free.
+            std::uniform_int_distribution<int> from_d(0, t.profile().cycle_count() + 8);
+            for (int q = 0; q < 4; ++q) {
+                const int from = from_d(rng);
+                const int duration = dur_d(rng);
+                const double power = pow_d(rng);
+                ASSERT_EQ(t.fits(from, duration, power),
+                          per_cycle_fits(t, from, duration, power))
+                    << "trial " << trial << " step " << step;
+                if (power > cap + power_tracker::tolerance) {
+                    ASSERT_EQ(t.next_fit(from, duration, power), -1);
+                    continue;
+                }
+                ASSERT_EQ(t.next_fit(from, duration, power),
+                          linear_next_fit(t, from, duration, power))
+                    << "trial " << trial << " step " << step;
+            }
+        };
+
+        for (int step = 0; step < 400; ++step) {
+            const int op = op_d(rng);
+            if (op < 2 && !held.empty()) {
+                std::uniform_int_distribution<std::size_t> pick(0, held.size() - 1);
+                const std::size_t i = pick(rng);
+                const auto [s0, d0, p0] = held[i];
+                t.release(s0, d0, p0);
+                held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+            } else {
+                // Reserve at the first fit after a start that drifts
+                // right, so the horizon keeps growing.
+                const int duration = 1 + dur_d(rng);
+                const double power = std::uniform_real_distribution<double>(0.05, cap)(rng);
+                const int from = std::uniform_int_distribution<int>(0, step)(rng);
+                const int slot = t.next_fit(from, duration, power);
+                ASSERT_GE(slot, from);
+                const std::vector<double> saved = t.interval_values(slot, duration);
+                t.reserve(slot, duration, power);
+                if (op < 4) {
+                    // A rolled-back attempt: probe the reserved state,
+                    // then unwind it bit-exactly.
+                    check_queries(step);
+                    t.restore_interval(slot, saved);
+                } else {
+                    held.emplace_back(slot, duration, power);
+                }
+            }
+            check_queries(step);
+        }
+        EXPECT_GT(t.profile().cycle_count(), 256) << "trial " << trial;
+    }
+}
+
 TEST(tracker, restore_interval_unwinds_reserve_bit_exactly)
 {
     power_tracker t(9.0);

@@ -57,9 +57,10 @@ void expect_same_front(const std::vector<front_point>& got,
 
 /// A unix-socket server running for the duration of one test.
 struct test_server {
-    explicit test_server(const char* name)
+    explicit test_server(const char* name, const serve_limits& limits = {})
     {
         server_options opts;
+        opts.limits = limits;
         opts.socket_path = std::string(::testing::TempDir()) + name;
         std::remove(opts.socket_path.c_str());
         srv = std::make_unique<server>(opts);
@@ -119,6 +120,30 @@ TEST(serve, served_sweep_matches_local_explore)
     EXPECT_EQ(st.rejects, 0u);
     EXPECT_EQ(st.protocol_errors, 0u);
     EXPECT_EQ(st.sessions, 1u);
+}
+
+TEST(serve, intra_threads_limit_applies_server_side_only)
+{
+    // The kernel path options never travel: a job encodes identically
+    // whatever its intra_threads / reference_kernels / cross_check, and
+    // a server fanning each point out over its own intra_threads still
+    // streams the local front.
+    synthesis_options tuned;
+    tuned.intra_threads = 8;
+    tuned.reference_kernels = true;
+    tuned.cross_check = true;
+    const std::vector<synthesis_constraints> grid = duplicated_grid(4);
+    const dse::space space = dse::list(grid);
+    EXPECT_EQ(encode_job(make_job(flow(hal17()).options(tuned), space)),
+              encode_job(make_job(hal17(), space)));
+
+    serve_limits limits;
+    limits.intra_threads = 4;
+    test_server ts("serve_intra.sock", limits);
+    client c = ts.connect();
+    const done_frame done = c.explore(make_job(hal17(), space), {});
+    c.bye();
+    expect_same_front(done.front, reference_front(grid));
 }
 
 TEST(serve, duplicate_jobs_share_one_warm_session)

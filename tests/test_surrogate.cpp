@@ -394,6 +394,31 @@ TEST(guided, pruning_engages_and_preserves_the_front)
     EXPECT_GE(sum.rounds, 2u);
 }
 
+TEST(guided, fir16_plane_keeps_its_front_after_an_infeasible_seed_round)
+{
+    // fir16 at T 8..22 step 2 x 40 caps: 7 of the 320 points are
+    // feasible and the eager front has 2.  The guided seed round finds
+    // only infeasible corners; a feasibility model trained on that one
+    // class predicts "infeasible" everywhere and once pruned the whole
+    // plane to an empty front.  Fresh sessions on both sides; lifetime
+    // is an objective, as in perfbench's sweep_plane.
+    const flow proto =
+        flow::on(make_fir16()).with_library(lib()).estimate_lifetime({}).latency(22);
+    std::vector<int> latencies;
+    for (int T = 8; T <= 22; T += 2) latencies.push_back(T);
+    const dse::space s = dse::cross(latencies, proto.power_grid(40));
+    ASSERT_EQ(s.size(), 320u);
+
+    dse::session eager(proto);
+    const dse::explore_summary ref = eager.explore(s, {}, 2);
+    ASSERT_EQ(ref.front.size(), 2u);
+
+    dse::session guided(proto);
+    const dse::guided_summary sum = guided.explore_guided(s, {}, {}, 2);
+    EXPECT_EQ(sum.front, ref.front);
+    EXPECT_EQ(sum.computed + sum.memo_served + sum.skipped, sum.space_size);
+}
+
 TEST(guided, property_fuzz_random_spaces_margins_threads)
 {
     // Randomised spaces over random DAGs: grids, crosses,

@@ -6,7 +6,6 @@
 //   phls synth <bench|file.cdfg> -T 17 [-P 7] [--library lib.txt]
 //         [--netlist] [--verilog out.v] [--dot out.dot] [--synth greedy|exact|...]
 //   phls sweep <bench|file.cdfg> -T 17 [--points 20] [--threads N] [--csv out.csv]
-//         [--intra-threads N]
 //         [--cache-file sweep.phlscache] [--memo-limit N] [--refine]
 //         [--guided [--prune-margin M] [--eval-budget N]]
 //         [--out front.csv|front.json]
@@ -23,6 +22,11 @@
 //   phls tasks <taskset-file> [--policy edf|battery] [--threads N]
 //         [--memo-limit N] [--out tasks.json|tasks.csv] [--progress]
 //   phls tasks --list-policies
+//
+// Every command takes --intra-threads N: each design point's candidate
+// scoring fans out over N threads (synthesis_options::intra_threads;
+// for serve, the flows its session pool builds).  Output is
+// byte-identical at any N.
 //
 // The distributed modes produce byte-identical sweep output: a --server
 // or --shards sweep prints the same table, front and exports as the
@@ -56,7 +60,6 @@
 #include "support/argparse.h"
 #include "support/errors.h"
 #include "support/csv.h"
-#include "support/kernels.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "synth/explore.h"
@@ -83,6 +86,16 @@ module_library load_library(const arg_parser& args)
         return parse_library(is);
     }
     return table1_library();
+}
+
+/// Synthesis options carrying the global --intra-threads flag: one
+/// design point's candidate scoring fans out over that many threads,
+/// even when the sweep itself is single-threaded.  Results are
+/// byte-identical at any value.
+synthesis_options run_options(const arg_parser& args, synthesis_options o = {})
+{
+    o.intra_threads = args.get_int("--intra-threads");
+    return o;
 }
 
 /// Checks an output path carries the extension its writer expects.
@@ -162,6 +175,7 @@ int cmd_synth(const arg_parser& args)
     flow f = flow::on(g)
                  .with_library(lib)
                  .latency(args.get_int("--latency"))
+                 .options(run_options(args))
                  .synthesizer(synth_name)
                  .emit_netlist(args.has("--netlist") || args.has("--verilog"));
     if (args.has("--power")) f.power_cap(args.get_double("--power"));
@@ -416,7 +430,7 @@ int cmd_sweep(const arg_parser& args)
     // every memo, --cache-file persists it across processes (a repeated
     // sweep warm-starts and serves metric answers instead of
     // resynthesising), and --refine evaluates the cap axis adaptively.
-    const flow proto = flow::on(g).with_library(lib).latency(T);
+    const flow proto = flow::on(g).with_library(lib).latency(T).options(run_options(args));
     dse::session_options opts;
     if (args.has("--memo-limit")) {
         const int limit = args.get_int("--memo-limit");
@@ -670,7 +684,7 @@ int cmd_lifetime(const arg_parser& args)
     const double beta = args.get_double("--beta");
 
     // Speed-first baseline: fastest modules, no power awareness.
-    synthesis_options speed_first;
+    synthesis_options speed_first = run_options(args);
     speed_first.try_both_prospects = false;
     speed_first.policy = prospect_policy::fastest_fit;
     lifetime_spec cell;
@@ -690,6 +704,7 @@ int cmd_lifetime(const arg_parser& args)
                                    .with_library(lib)
                                    .latency(T)
                                    .power_cap(cap)
+                                   .options(run_options(args))
                                    .estimate_lifetime(cell)
                                    .run();
     check(capped.st.ok(), "capped synthesis failed: " + capped.st.to_string());
@@ -726,6 +741,7 @@ int cmd_serve(const arg_parser& args)
         limits.memo_limit = static_cast<std::size_t>(limit);
     }
     limits.allow_cache_save = args.has("--allow-cache-save");
+    limits.intra_threads = args.get_int("--intra-threads");
 
     if (args.has("--stdio")) {
         // Protocol over stdin/stdout (logs keep to stderr): the shape a
@@ -868,7 +884,8 @@ int cmd_tasks(const arg_parser& args)
     const std::string path = args.positionals().at(1);
     std::ifstream is(path);
     check(static_cast<bool>(is), "cannot open '" + path + "'");
-    const task::task_set set = task::parse_task_set(is);
+    task::task_set set = task::parse_task_set(is);
+    for (task::task_spec& t : set.tasks) t.options = run_options(args, t.options);
     const task::policy p = task::policy_by_name(args.get("--policy"));
 
     task::schedule_options opts;
@@ -1000,12 +1017,7 @@ int run(const std::vector<std::string>& argv)
         return args.positionals().empty() && !args.has("--help") ? 2 : 0;
     }
 
-    // Intra-point parallelism is a process-global kernel knob: one huge
-    // graph fans its candidate scoring out even when the sweep itself is
-    // single-threaded.  Results are byte-identical at any value.
-    const int intra_threads = args.get_int("--intra-threads");
-    check(intra_threads >= 1, "--intra-threads must be >= 1");
-    kernel_knobs().intra_threads = intra_threads;
+    check(args.get_int("--intra-threads") >= 1, "--intra-threads must be >= 1");
 
     const std::string& command = args.positionals().front();
     if (command == "list") return cmd_list();
